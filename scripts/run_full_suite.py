@@ -1,24 +1,17 @@
 #!/usr/bin/env python3
-"""Run the complete verification battery for a range of system sizes and
-print one summary line per size.
+"""Run the checks of ``wignerlab full-suite`` (default options) for a range
+of system sizes and print one summary line per size.
 
 Usage: python scripts/run_full_suite.py [Lmin] [Lmax]
 """
 
 import sys
 
-from wignerlab.cli import (automorphism_checks, commutator_checks,
-                           gauge_checks, polar_checks, transition_checks)
+from wignerlab.cli import full_suite_checks
 
 
 def run(L: int) -> bool:
-    checks = []
-    for circuit in ("u1", "u2", "u-gauged"):
-        checks += automorphism_checks(circuit, L)
-    checks += commutator_checks(L)
-    checks += transition_checks(L, +1, seed=0, pairs=50)
-    checks += polar_checks(L, +1, seed=0)
-    checks += gauge_checks(L)
+    checks = full_suite_checks(L)
     n_pass = sum(c["status"] == "pass" for c in checks)
     n_fail = sum(c["status"] == "fail" for c in checks)
     n_skip = sum(c["status"] == "skipped" for c in checks)

@@ -7,7 +7,7 @@ Usage: python scripts/spectrum_scan.py [Lmin] [Lmax] [n_levels]
 
 import sys
 
-from wignerlab.dense import hermitian_eigensolve, materialize
+from wignerlab.dense import hermitian_eigensolve, materialize, over_limit
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
 
 
@@ -17,9 +17,10 @@ def main() -> int:
     n_levels = int(sys.argv[3]) if len(sys.argv) > 3 else 4
     for L in range(lmin, lmax + 1):
         for fam in Family:
-            if fam is Family.FULLY_GAUGED_HG and L > 5:
+            h = build_hamiltonian(ModelSpec(fam, L))
+            if over_limit(h.layout.total_sites, "string", "eigensolve"):
                 continue
-            op = materialize(build_hamiltonian(ModelSpec(fam, L)))
+            op = materialize(h)
             ev = hermitian_eigensolve(op).eigenvalues[:n_levels]
             levels = "  ".join(f"{v:+.6f}" for v in ev)
             print(f"L={L}  {fam.value:<16} dim={op.dim:<5} {levels}")

@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from pathlib import Path
 
 import click
 import numpy as np
@@ -20,8 +21,9 @@ import numpy as np
 from . import __version__
 from .clifford import (build_u1, build_u2, build_u_gauged, phi1_table,
                        phi2_table, phi_gauged_table, verify_automorphism)
-from .dense import (DenseOperator, DimensionCapError, StateVector, _cap,
-                    hermitian_eigensolve, materialize, random_state,
+from .dense import (TAU_EIG_PER_DIM, ConvergenceError, DenseOperator,
+                    DimensionCapError, StateVector, check_limit,
+                    hermitian_eigensolve, materialize, over_limit, random_state,
                     transition_experiment, write_dense_binary, write_dense_csv)
 from .gauge import (ancilla_sector_embedding, build_d_hat,
                     build_d_noninvertible, embed_state, gauss_sector_projector,
@@ -64,6 +66,8 @@ _CIRCUITS = {"u1": (build_u1, phi1_table), "u2": (build_u2, phi2_table),
              "u-gauged": (build_u_gauged, phi_gauged_table)}
 
 _MODELS = {f.value: f for f in Family}
+# the boundary-sector chains of the + and - sectors, in that order
+_BOUNDARY_FAMILIES = (Family.PERIODIC_H_PLUS, Family.ANTIPERIODIC_H_MINUS)
 
 
 def automorphism_checks(circuit: str, L: int) -> list[dict]:
@@ -76,10 +80,6 @@ def automorphism_checks(circuit: str, L: int) -> list[dict]:
     return out
 
 
-def _dense_ok(total_sites: int, kind: str = "string") -> bool:
-    return total_sites <= _cap(kind)
-
-
 def commutator_checks(L: int, tol_scale: float = 1.0,
                       flip_boundary: bool = False) -> list[dict]:
     out = []
@@ -89,8 +89,9 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
         out.append(_bool_check(
             f"symbolic (U2 H U2_dag) P = H P for sign {sign:+d}",
             projected_commutation_check(L, sign)["passed"]))
-    if not _dense_ok(L + 1, "circuit"):
-        out.append(_skip("dense commutators", "dimension cap"))
+    why = over_limit(L + 1, "string", "circuit")
+    if why:
+        out.append(_skip("dense commutators", why))
         return out
 
     u1 = materialize(build_u1(L))
@@ -107,17 +108,14 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
     conserved("[H1, U1]", h1, u1)
     conserved("[H2, U2]", h2, u2)
     conserved("[H_G, U_gauged]", hg, ug)
-    for sign, fam in ((1, Family.PERIODIC_H_PLUS), (-1, Family.ANTIPERIODIC_H_MINUS)):
-        boundary_fam = fam
+    for sign, s, fam in zip((1, -1), "+-", _BOUNDARY_FAMILIES):
         if flip_boundary and sign == 1:
-            boundary_fam = Family.ANTIPERIODIC_H_MINUS  # injected fault
-        h = materialize(build_hamiltonian(ModelSpec(boundary_fam, L)))
-        d = build_d_noninvertible(L, sign)
-        conserved(f"[H{'+' if sign > 0 else '-'}, D{'+' if sign > 0 else '-'}]", h, d)
-        dh = build_d_hat(L, sign)
-        conserved(f"[H_G, D_hat{'+' if sign > 0 else '-'}]", hg, dh)
-        out.append(_check(f"[H{'+' if sign > 0 else '-'}, U2] nonzero",
-                          _comm_norm(h, u2), 0.1, above=True))
+            fam = Family.ANTIPERIODIC_H_MINUS  # injected fault
+        h = materialize(build_hamiltonian(ModelSpec(fam, L)))
+        conserved(f"[H{s}, D{s}]", h, build_d_noninvertible(L, sign))
+        conserved(f"[H_G, D_hat{s}]", hg, build_d_hat(L, sign))
+        out.append(_check(f"[H{s}, U2] nonzero", _comm_norm(h, u2), 0.1,
+                          above=True))
     return out
 
 
@@ -129,18 +127,18 @@ def _seeded_pairs(dim: int, seed: int, count: int) -> list[tuple[StateVector, St
 def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
                       tol_scale: float = 1.0,
                       nontrivial_projector: bool = False) -> list[dict]:
+    why = over_limit(L + 1, "string", "circuit")
+    if why:
+        return [_skip("transition checks", why)]
     out = []
-    if not _dense_ok(L + 1, "circuit"):
-        return [_skip("transition checks", "dimension cap")]
     d = build_d_noninvertible(L, sign)
-    if L >= 2:
-        basis0 = StateVector(np.eye(1 << L)[:, 0])
-        rep = transition_experiment(d, [(basis0, basis0)])
-        measured = rep["pairs"][0]["p_transformed"]
-        out.append(_check("counterexample |<0..0|P|0..0>|^2 = 0.25",
-                          abs(measured - 0.25), 1e-12 * tol_scale))
-        out.append(_check("counterexample reference = 1",
-                          abs(rep["pairs"][0]["p_reference"] - 1.0), 1e-12))
+    basis0 = StateVector(np.eye(1 << L)[:, 0])
+    rep = transition_experiment(d, [(basis0, basis0)])
+    measured = rep["pairs"][0]["p_transformed"]
+    out.append(_check("counterexample |<0..0|P|0..0>|^2 = 0.25",
+                      abs(measured - 0.25), 1e-12 * tol_scale))
+    out.append(_check("counterexample reference = 1",
+                      abs(rep["pairs"][0]["p_reference"] - 1.0), 1e-12))
     rep = transition_experiment(d, _seeded_pairs(1 << L, seed, pairs))
     out.append(_check("D on matter space violates probabilities",
                       rep["max_deviation"], 0.05, above=True))
@@ -158,20 +156,19 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
         d_hat_anti = build_d_hat(L, sign, antilinear=True)
     epairs = [(embed_state(a, emb), embed_state(b, emb))
               for a, b in _seeded_pairs(1 << L, seed + 7, pairs)]
-    rep = transition_experiment(d_hat, epairs)
-    out.append(_check("D_hat preserves embedded probabilities (linear)",
-                      rep["max_deviation"], 1e-11 * tol_scale))
-    rep = transition_experiment(d_hat_anti, epairs)
-    out.append(_check("D_hat preserves embedded probabilities (antilinear)",
-                      rep["max_deviation"], 1e-11 * tol_scale))
+    for op, kind in ((d_hat, "linear"), (d_hat_anti, "antilinear")):
+        rep = transition_experiment(op, epairs)
+        out.append(_check(f"D_hat preserves embedded probabilities ({kind})",
+                          rep["max_deviation"], 1e-11 * tol_scale))
     return out
 
 
 def polar_checks(L: int, sign: int, seed: int, tol_scale: float = 1.0) -> list[dict]:
     from .polar import corollary_check, polar_decompose, verify_theorem_structure
+    why = over_limit(L + 1, "string", "circuit", "eigensolve")
+    if why:
+        return [_skip("polar checks", why)]
     out = []
-    if not _dense_ok(L + 1, "circuit"):
-        return [_skip("polar checks", "dimension cap")]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(20):
@@ -213,9 +210,10 @@ def polar_checks(L: int, sign: int, seed: int, tol_scale: float = 1.0) -> list[d
 
 
 def gauge_checks(L: int, tol_scale: float = 1.0) -> list[dict]:
+    why = over_limit(2 * L, "string", "circuit", "eigensolve")
+    if why:
+        return [_skip("gauge-equivalence", why)]
     out = []
-    if L > 5 or not _dense_ok(2 * L, "string"):
-        return [_skip("gauge-equivalence", "dimension cap")]
     res = spectral_equivalence_check(L)
     out.append(_bool_check(
         f"spectral equivalence with uniform factor {res['predicted_factor']}",
@@ -233,23 +231,47 @@ def gauge_checks(L: int, tol_scale: float = 1.0) -> list[dict]:
                       _comm_norm(h_full, proj),
                       1e-10 * max(_frob(h_full.matrix), 1.0) * tol_scale))
     hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
-    blk_p, blk_m = sector_blocks(hg, L)
-    hp = materialize(build_hamiltonian(ModelSpec(Family.PERIODIC_H_PLUS, L)))
-    hm = materialize(build_hamiltonian(ModelSpec(Family.ANTIPERIODIC_H_MINUS, L)))
-    out.append(_check("H_G (+) block equals H+",
-                      float(np.abs(blk_p - hp.matrix).max()), 1e-12))
-    out.append(_check("H_G (-) block equals H-",
-                      float(np.abs(blk_m - hm.matrix).max()), 1e-12))
+    for blk, fam, s in zip(sector_blocks(hg, L), _BOUNDARY_FAMILIES, "+-"):
+        h = materialize(build_hamiltonian(ModelSpec(fam, L)))
+        out.append(_check(f"H_G ({s}) block equals H{s}",
+                          float(np.abs(blk - h.matrix).max()), 1e-12))
     return out
+
+
+def full_suite_checks(L: int, sign: int = 1, seed: int = 0, pairs: int = 100,
+                      tol_scale: float = 1.0,
+                      inject_fault: str | None = None) -> list[dict]:
+    """Every battery in one list: the checks of ``full-suite``."""
+    checks = []
+    for circuit in _CIRCUITS:
+        sub = automorphism_checks(circuit, L)
+        checks.append(_bool_check(f"automorphism table {circuit} (L={L})",
+                                  all(c["status"] == "pass" for c in sub)))
+    checks += commutator_checks(L, tol_scale,
+                                flip_boundary=inject_fault == "flip-boundary-sign")
+    checks += transition_checks(
+        L, sign, seed, pairs, tol_scale,
+        nontrivial_projector=inject_fault == "nontrivial-projector")
+    checks += polar_checks(L, sign, seed, tol_scale)
+    checks += gauge_checks(L, tol_scale)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # report assembly and output
 # ---------------------------------------------------------------------------
 
+def _write(path: str, write) -> None:
+    """Every file the CLI writes goes through here; an unwritable path is a
+    usage error."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit(command: str, config: dict, checks: list[dict],
-          fmt: str, out_path: str | None, started: float,
-          extra: dict | None = None) -> int:
+          fmt: str, out_path: str | None, started: float, extra: dict) -> int:
     report = {
         "command": command,
         "config": config,
@@ -260,10 +282,11 @@ def _emit(command: str, config: dict, checks: list[dict],
             "wall_s": time.monotonic() - started,
         },
     }
-    if extra:
-        report.update(extra)
+    report.update(extra)
     if fmt == "json":
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    elif fmt == "csv" and "eigenvalues" in extra:
+        text = "".join(f"{i},{v!r}\n" for i, v in enumerate(extra["eigenvalues"]))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -283,15 +306,41 @@ def _emit(command: str, config: dict, checks: list[dict],
                      f"{sum(c['status'] == 'skipped' for c in checks)} skipped")
         text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        _write(out_path, lambda p: Path(p).write_text(text))
     else:
         click.echo(text, nl=False)
     return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 
+def _run(config_keys: tuple[str, ...], battery, extra: dict | None = None) -> None:
+    """Time ``battery()``, emit the current command's report with the named
+    options as its config, and exit with the report's code.
+
+    A request over a dense site limit is a usage error; a Jacobi solve that
+    does not converge is a failed check.
+    """
+    ctx = click.get_current_context()
+    started = time.monotonic()
+    try:
+        checks = battery()
+    except DimensionCapError as exc:
+        raise click.UsageError(str(exc))
+    except ConvergenceError as exc:
+        checks = [dict(_bool_check("eigensolver converged", False),
+                       reason=str(exc))]
+    config = {k: ctx.params[k] for k in config_keys}
+    sys.exit(_emit(ctx.info_name, config, checks, ctx.params["fmt"],
+                   ctx.params["out_path"], started, extra or {}))
+
+
+_SIGNS = {"+": 1, "-": -1}
+_pairs_option = click.option("--pairs", type=click.IntRange(min=1), default=100,
+                             show_default=True)
+
+
 def _common(f):
-    f = click.option("--L", "L", type=int, default=3, show_default=True)(f)
+    f = click.option("--L", "L", type=click.IntRange(min=2), default=3,
+                     show_default=True)(f)
     f = click.option("--sign", type=click.Choice(["+", "-"]), default="+",
                      show_default=True)(f)
     f = click.option("--seed", type=int, default=0, show_default=True)(f)
@@ -311,54 +360,34 @@ def main() -> None:
 @main.command("verify-automorphism")
 @click.option("--circuit", type=click.Choice(sorted(_CIRCUITS)), required=True)
 @_common
-def cmd_verify_automorphism(circuit, L, sign, seed, fmt, out_path, tol_scale):
+def cmd_verify_automorphism(circuit, L, **_):
     """Check a duality circuit against its generator table, symbolically."""
-    if L < 2:
-        raise click.UsageError("L must be >= 2")
-    started = time.monotonic()
-    checks = automorphism_checks(circuit, L)
-    config = {"circuit": circuit, "L": L, "seed": seed, "tol_scale": tol_scale}
-    sys.exit(_emit("verify-automorphism", config, checks, fmt, out_path, started))
+    _run(("circuit", "L", "seed", "tol_scale"),
+         lambda: automorphism_checks(circuit, L))
 
 
 @main.command("commutators")
 @_common
-def cmd_commutators(L, sign, seed, fmt, out_path, tol_scale):
+def cmd_commutators(L, tol_scale, **_):
     """Conservation and non-conservation commutator battery."""
-    if L < 2:
-        raise click.UsageError("L must be >= 2")
-    started = time.monotonic()
-    checks = commutator_checks(L, tol_scale)
-    config = {"L": L, "seed": seed, "tol_scale": tol_scale}
-    sys.exit(_emit("commutators", config, checks, fmt, out_path, started))
+    _run(("L", "seed", "tol_scale"), lambda: commutator_checks(L, tol_scale))
 
 
 @main.command("transition-check")
-@click.option("--pairs", type=int, default=100, show_default=True)
+@_pairs_option
 @_common
-def cmd_transition_check(pairs, L, sign, seed, fmt, out_path, tol_scale):
+def cmd_transition_check(pairs, L, sign, seed, tol_scale, **_):
     """Probability violation on the matter space vs preservation when gauged."""
-    if L < 2:
-        raise click.UsageError("L must be >= 2")
-    started = time.monotonic()
-    s = 1 if sign == "+" else -1
-    checks = transition_checks(L, s, seed, pairs, tol_scale)
-    config = {"L": L, "sign": sign, "seed": seed, "pairs": pairs,
-              "tol_scale": tol_scale}
-    sys.exit(_emit("transition-check", config, checks, fmt, out_path, started))
+    _run(("L", "sign", "seed", "pairs", "tol_scale"),
+         lambda: transition_checks(L, _SIGNS[sign], seed, pairs, tol_scale))
 
 
 @main.command("polar")
 @_common
-def cmd_polar(L, sign, seed, fmt, out_path, tol_scale):
+def cmd_polar(L, sign, seed, tol_scale, **_):
     """Polar-decomposition structure checks for the gauged symmetry operator."""
-    if L < 2:
-        raise click.UsageError("L must be >= 2")
-    started = time.monotonic()
-    s = 1 if sign == "+" else -1
-    checks = polar_checks(L, s, seed, tol_scale)
-    config = {"L": L, "sign": sign, "seed": seed, "tol_scale": tol_scale}
-    sys.exit(_emit("polar", config, checks, fmt, out_path, started))
+    _run(("L", "sign", "seed", "tol_scale"),
+         lambda: polar_checks(L, _SIGNS[sign], seed, tol_scale))
 
 
 @main.command("spectrum")
@@ -368,77 +397,44 @@ def cmd_polar(L, sign, seed, fmt, out_path, tol_scale):
 @click.option("--matrix-format", type=click.Choice(["bin", "csv"]),
               default="bin", show_default=True)
 @_common
-def cmd_spectrum(model, matrix_out, matrix_format, L, sign, seed, fmt,
-                 out_path, tol_scale):
+def cmd_spectrum(model, matrix_out, matrix_format, L, tol_scale, **_):
     """Sorted eigenvalues of a model Hamiltonian."""
-    if L < 2:
-        raise click.UsageError("L must be >= 2")
-    started = time.monotonic()
-    spec = ModelSpec(_MODELS[model], L)
-    try:
-        op = materialize(build_hamiltonian(spec))
-    except DimensionCapError as exc:
-        raise click.UsageError(str(exc))
-    result = hermitian_eigensolve(op)
-    if matrix_out:
-        if matrix_format == "bin":
-            write_dense_binary(matrix_out, op.matrix)
-        else:
-            write_dense_csv(matrix_out, op.matrix)
-    checks = [_check("eigensolver residual", result.residual,
-                     1e-9 * op.dim * tol_scale)]
-    config = {"model": model, "L": L, "tol_scale": tol_scale}
-    extra = {"eigenvalues": [float(v) for v in result.eigenvalues]}
-    if fmt == "csv":
-        text = "\n".join(f"{i},{float(v)!r}" for i, v in enumerate(result.eigenvalues)) + "\n"
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        else:
-            click.echo(text, nl=False)
-        sys.exit(0 if checks[0]["status"] == "pass" else 1)
-    sys.exit(_emit("spectrum", config, checks, fmt, out_path, started, extra))
+    extra = {}
+
+    def battery():
+        h = build_hamiltonian(ModelSpec(_MODELS[model], L))
+        check_limit(h.layout.total_sites, "string", "eigensolve")
+        op = materialize(h)
+        result = hermitian_eigensolve(op)
+        if matrix_out:
+            dump = write_dense_binary if matrix_format == "bin" else write_dense_csv
+            _write(matrix_out, lambda p: dump(p, op.matrix))
+        extra["eigenvalues"] = [float(v) for v in result.eigenvalues]
+        return [_check("eigensolver residual", result.residual,
+                       TAU_EIG_PER_DIM * op.dim * tol_scale)]
+
+    _run(("model", "L", "tol_scale"), battery, extra)
 
 
 @main.command("gauge-equivalence")
 @_common
-def cmd_gauge_equivalence(L, sign, seed, fmt, out_path, tol_scale):
+def cmd_gauge_equivalence(L, tol_scale, **_):
     """Fully gauged vs minimally gauged spectral comparison."""
-    if L < 2:
-        raise click.UsageError("L must be >= 2")
-    started = time.monotonic()
-    checks = gauge_checks(L, tol_scale)
-    config = {"L": L, "tol_scale": tol_scale}
-    sys.exit(_emit("gauge-equivalence", config, checks, fmt, out_path, started))
+    _run(("L", "tol_scale"), lambda: gauge_checks(L, tol_scale))
 
 
 @main.command("full-suite")
 @click.option("--inject-fault",
               type=click.Choice(["flip-boundary-sign", "nontrivial-projector"]),
               default=None)
-@click.option("--pairs", type=int, default=100, show_default=True)
+@_pairs_option
 @_common
-def cmd_full_suite(inject_fault, pairs, L, sign, seed, fmt, out_path, tol_scale):
+def cmd_full_suite(inject_fault, pairs, L, sign, seed, tol_scale, **_):
     """Every check in one run: automorphisms, commutators, counterexample,
     preservation, polar structure, corollary, spectral equivalence."""
-    if L < 2:
-        raise click.UsageError("L must be >= 2")
-    started = time.monotonic()
-    checks = []
-    for circuit in ("u1", "u2", "u-gauged"):
-        sub = automorphism_checks(circuit, L)
-        checks.append(_bool_check(f"automorphism table {circuit} (L={L})",
-                                  all(c["status"] == "pass" for c in sub)))
-    checks += commutator_checks(L, tol_scale,
-                                flip_boundary=inject_fault == "flip-boundary-sign")
-    checks += transition_checks(
-        L, +1, seed, pairs, tol_scale,
-        nontrivial_projector=inject_fault == "nontrivial-projector")
-    checks += polar_checks(L, +1, seed, tol_scale)
-    checks += gauge_checks(L, tol_scale)
-    config = {"L": L, "seed": seed, "pairs": pairs, "tol_scale": tol_scale,
-              "inject_fault": inject_fault}
-    sys.exit(_emit("full-suite", config, checks, fmt, out_path, started))
+    _run(("L", "sign", "seed", "pairs", "tol_scale", "inject_fault"),
+         lambda: full_suite_checks(L, _SIGNS[sign], seed, pairs, tol_scale,
+                                   inject_fault))
 
 
 if __name__ == "__main__":

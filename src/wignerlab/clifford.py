@@ -9,11 +9,12 @@ outward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence, Union
+from dataclasses import dataclass, fields
+from typing import Union
 
-from .pauli import (HilbertLayout, PauliString, SiteRef, commutes,
-                    eta_string, matter_layout, ancilla_layout, mul)
+from .pauli import (HilbertLayout, PauliString, SiteRef, ancilla_layout,
+                    commutes, eta_string, format_layout, format_string,
+                    matter_layout, mul, parse_layout, parse_string)
 
 
 @dataclass(frozen=True)
@@ -64,17 +65,20 @@ def _rot_conjugate(axis: PauliString, sign: int, p: PauliString) -> PauliString:
                        out.phase_exp + (1 if sign > 0 else 3))
 
 
-def _cx_axes(layout: HilbertLayout, control: SiteRef, target: SiteRef):
-    zc = PauliString.single(layout, "Z", control)
-    xt = PauliString.single(layout, "X", target)
-    # Eq-form C^x = e^{i pi/4} R(Zc Xt, +) R(Zc, -) R(Xt, -); factors commute
-    return ((mul(zc, xt), 1), (zc, -1), (xt, -1))
+def rotation_factors(layout: HilbertLayout, g: ControlledX | ControlledZ):
+    """``(s, ((A1, s1), (A2, s2), (A3, s3)))`` with
+    ``g = e^{i s pi/4} R(A1, s1) R(A2, s2) R(A3, s3)``, ``R(A, t) = exp(i t pi/4 A)``.
 
-
-def _cz_axes(layout: HilbertLayout, i: SiteRef, j: SiteRef):
-    zi = PauliString.single(layout, "Z", i)
-    zj = PauliString.single(layout, "Z", j)
-    return ((mul(zi, zj), -1), (zi, 1), (zj, 1))
+    The three factors commute.  This is the one definition of CX and CZ: the
+    symbolic conjugation drops the global phase, the dense backend keeps it.
+    """
+    if isinstance(g, ControlledX):
+        zc = PauliString.single(layout, "Z", g.control)
+        xt = PauliString.single(layout, "X", g.target)
+        return 1, ((mul(zc, xt), 1), (zc, -1), (xt, -1))
+    zi = PauliString.single(layout, "Z", g.i)
+    zj = PauliString.single(layout, "Z", g.j)
+    return -1, ((mul(zi, zj), -1), (zi, 1), (zj, 1))
 
 
 def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
@@ -102,13 +106,9 @@ def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
 
         return PauliString(layout, swap_bits(p.x_mask), swap_bits(p.z_mask),
                            p.phase_exp)
-    if isinstance(g, ControlledX):
-        axes = _cx_axes(layout, g.control, g.target)
-    elif isinstance(g, ControlledZ):
-        axes = _cz_axes(layout, g.i, g.j)
-    else:
+    if not isinstance(g, (ControlledX, ControlledZ)):
         raise TypeError(f"unknown gate {g!r}")
-    for axis, sign in axes:  # commuting factors: any order
+    for axis, sign in rotation_factors(layout, g)[1]:  # commuting: any order
         p = _rot_conjugate(axis, sign, p)
     return p
 
@@ -276,77 +276,44 @@ def verify_automorphism(c: CliffordCircuit, m: DualityMap) -> dict:
 # circuit text format
 # ---------------------------------------------------------------------------
 
-def _site_txt(s: SiteRef) -> str:
-    return str(s)
+_GATE_NAMES = {ControlledX: "CX", ControlledZ: "CZ", Swap: "SWAP", Hadamard: "H"}
+_GATE_KINDS = {name: cls for cls, name in _GATE_NAMES.items()}
 
 
 def _parse_site(layout: HilbertLayout, tok: str) -> SiteRef:
-    if tok.isdigit():
-        return int(tok)
-    layout.index_of(tok)  # validates
-    return tok
+    site = int(tok) if tok.isdigit() else tok
+    layout.index_of(site)  # validates
+    return site
 
 
 def format_circuit(c: CliffordCircuit) -> str:
     """One gate per line: ``ROT - X3``, ``CX 2 1``, ``CZ 4 3``, ``SWAP 1 4``, ``H 4``."""
-    from .pauli import format_string
-    lines = [f"L={c.layout.n_matter}, gauge=[{','.join(c.layout.gauge_slots)}]"]
+    lines = [format_layout(c.layout)]
     for g in c.gates:
-        if isinstance(g, ControlledX):
-            lines.append(f"CX {_site_txt(g.control)} {_site_txt(g.target)}")
-        elif isinstance(g, ControlledZ):
-            lines.append(f"CZ {_site_txt(g.i)} {_site_txt(g.j)}")
-        elif isinstance(g, Swap):
-            lines.append(f"SWAP {_site_txt(g.i)} {_site_txt(g.j)}")
-        elif isinstance(g, Hadamard):
-            lines.append(f"H {_site_txt(g.site)}")
-        elif isinstance(g, QuarterRotation):
-            body = format_string(g.axis).split(" | ")[0]
-            body = body.removeprefix("(+1i^0) ")
+        if isinstance(g, QuarterRotation):
+            body = format_string(g.axis).split(" | ")[0].removeprefix("(+1i^0) ")
             lines.append(f"ROT {'+' if g.sign > 0 else '-'} {body}")
+        else:
+            lines.append(" ".join([_GATE_NAMES[type(g)],
+                                   *(str(getattr(g, f.name)) for f in fields(g))]))
     return "\n".join(lines)
 
 
 def parse_circuit(text: str) -> CliffordCircuit:
-    import re
-    from .pauli import HilbertLayout, parse_string
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    m = re.match(r"\s*L=(\d+),\s*gauge=\[([^\]]*)\]\s*$", lines[0])
-    if not m:
-        raise ValueError("bad layout header")
-    layout = HilbertLayout(int(m.group(1)),
-                           tuple(s for s in m.group(2).split(",") if s))
-    gauge = ",".join(layout.gauge_slots)
+    header, *lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    layout = parse_layout(header)
     gates: list[CliffordGate] = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        kind = parts[0]
-        if kind == "CX":
-            gates.append(ControlledX(_parse_site(layout, parts[1]),
-                                     _parse_site(layout, parts[2])))
-        elif kind == "CZ":
-            gates.append(ControlledZ(_parse_site(layout, parts[1]),
-                                     _parse_site(layout, parts[2])))
-        elif kind == "SWAP":
-            gates.append(Swap(_parse_site(layout, parts[1]),
-                              _parse_site(layout, parts[2])))
-        elif kind == "H":
-            gates.append(Hadamard(_parse_site(layout, parts[1])))
-        elif kind == "ROT":
-            sign = 1 if parts[1] == "+" else -1
-            body = " ".join(parts[2:])
-            axis = parse_string(f"(+1i^0) {body} | L={layout.n_matter}, gauge=[{gauge}]"
-                                if not body.startswith("(") else
-                                f"{body} | L={layout.n_matter}, gauge=[{gauge}]")
-            gates.append(QuarterRotation(axis, sign))
+    for ln in lines:
+        kind, *args = ln.split()
+        cls = _GATE_KINDS.get(kind)
+        if cls is not None and len(args) == len(fields(cls)):
+            gates.append(cls(*(_parse_site(layout, a) for a in args)))
+        elif kind == "ROT" and len(args) > 1 and args[0] in ("+", "-"):
+            body = " ".join(args[1:])
+            if not body.startswith("("):
+                body = f"(+1i^0) {body}"
+            axis = parse_string(f"{body} | {format_layout(layout)}")
+            gates.append(QuarterRotation(axis, 1 if args[0] == "+" else -1))
         else:
-            raise ValueError(f"unknown gate line {ln!r}")
+            raise ValueError(f"bad gate line {ln!r}")
     return CliffordCircuit(layout, tuple(gates))
-
-
-def format_duality_map(m: DualityMap) -> str:
-    from .pauli import format_string
-    lines = [m.name]
-    for gen, img in m.entries:
-        lines.append(f"{format_string(gen)} -> {format_string(img)}")
-    return "\n".join(lines)

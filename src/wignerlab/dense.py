@@ -10,39 +10,48 @@ first).
 from __future__ import annotations
 
 import math
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import (CliffordCircuit, ControlledX, ControlledZ, Hadamard,
-                       QuarterRotation, Swap)
-from .pauli import HilbertLayout, PauliString, PauliSum, SiteRef, mul
+                       QuarterRotation, Swap, rotation_factors)
+from .pauli import HilbertLayout, PauliString, PauliSum
 
 TAU_UNIT = 1e-10
 TAU_EIG_PER_DIM = 1e-9
 JACOBI_SWEEP_CAP = 100
 
-DEFAULT_STRING_CAP = 14   # total sites
-DEFAULT_CIRCUIT_CAP = 12
-
-DENSE_CAP_ENV = "WIGNERLAB_DENSE_CAP"
+# The only limits on dense work, in total sites; every caller asks over_limit.
+STRING_SITE_LIMIT = 14      # materialized strings and sums
+CIRCUIT_SITE_LIMIT = 12     # circuits and other products of dense factors
+EIGENSOLVE_SITE_LIMIT = 10  # Jacobi at dim 1024: the fully gauged chain at L = 5
+SITE_LIMITS = {"string": STRING_SITE_LIMIT, "circuit": CIRCUIT_SITE_LIMIT,
+               "eigensolve": EIGENSOLVE_SITE_LIMIT}
 
 
 class DimensionCapError(ValueError):
-    """Raised when a materialization would exceed the configured site cap."""
+    """Raised when dense work would exceed one of the site limits."""
 
 
 class ConvergenceError(RuntimeError):
     """Jacobi sweeps exhausted before the off-diagonal norm target."""
 
 
-def _cap(kind: str) -> int:
-    env = os.environ.get(DENSE_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return DEFAULT_STRING_CAP if kind == "string" else DEFAULT_CIRCUIT_CAP
+def over_limit(sites: int, *kinds: str) -> str | None:
+    """Why dense work of these kinds on ``sites`` total sites does not fit,
+    or None if it fits every limit."""
+    for kind in kinds:
+        if sites > SITE_LIMITS[kind]:
+            return f"{sites} sites exceeds the {kind} limit of {SITE_LIMITS[kind]}"
+    return None
+
+
+def check_limit(sites: int, *kinds: str) -> None:
+    why = over_limit(sites, *kinds)
+    if why:
+        raise DimensionCapError(why)
 
 
 @dataclass(frozen=True)
@@ -132,24 +141,19 @@ def _rotation_matrix(axis: PauliString, sign: int) -> np.ndarray:
 
 
 def _gate_matrix(layout: HilbertLayout, g) -> np.ndarray:
-    dim = layout.dim
-    single = lambda k, s: PauliString.single(layout, k, s)
     if isinstance(g, QuarterRotation):
         return _rotation_matrix(g.axis, g.sign)
     if isinstance(g, Hadamard):
         # i exp(-i pi (Z+X) / (2 sqrt 2)) collapses to (X+Z)/sqrt(2)
-        return (_string_matrix(single("X", g.site))
-                + _string_matrix(single("Z", g.site))) / math.sqrt(2.0)
-    if isinstance(g, ControlledX):
-        m = _rotation_matrix(mul(single("Z", g.control), single("X", g.target)), 1)
-        m = m @ _rotation_matrix(single("Z", g.control), -1)
-        m = m @ _rotation_matrix(single("X", g.target), -1)
-        return np.exp(1j * math.pi / 4) * m
-    if isinstance(g, ControlledZ):
-        m = _rotation_matrix(mul(single("Z", g.i), single("Z", g.j)), -1)
-        m = m @ _rotation_matrix(single("Z", g.i), 1)
-        m = m @ _rotation_matrix(single("Z", g.j), 1)
-        return np.exp(-1j * math.pi / 4) * m
+        x = PauliString.single(layout, "X", g.site)
+        z = PauliString.single(layout, "Z", g.site)
+        return (_string_matrix(x) + _string_matrix(z)) / math.sqrt(2.0)
+    if isinstance(g, (ControlledX, ControlledZ)):
+        phase, ((axis, sign), *rest) = rotation_factors(layout, g)
+        m = _rotation_matrix(axis, sign)
+        for axis, sign in rest:
+            m = m @ _rotation_matrix(axis, sign)
+        return np.exp(phase * 1j * math.pi / 4) * m
     if isinstance(g, Swap):
         cx = lambda c, t: _gate_matrix(layout, ControlledX(c, t))
         return cx(g.i, g.j) @ cx(g.j, g.i) @ cx(g.i, g.j)
@@ -159,19 +163,16 @@ def _gate_matrix(layout: HilbertLayout, g) -> np.ndarray:
 def materialize(obj: PauliString | PauliSum | CliffordCircuit) -> DenseOperator:
     """Explicit complex matrix of a string, sum, or circuit."""
     if isinstance(obj, PauliString):
-        if obj.layout.total_sites > _cap("string"):
-            raise DimensionCapError(f"{obj.layout.total_sites} sites exceeds cap")
+        check_limit(obj.layout.total_sites, "string")
         return DenseOperator(_string_matrix(obj))
     if isinstance(obj, PauliSum):
-        if obj.layout.total_sites > _cap("string"):
-            raise DimensionCapError(f"{obj.layout.total_sites} sites exceeds cap")
+        check_limit(obj.layout.total_sites, "string")
         m = np.zeros((obj.layout.dim, obj.layout.dim), dtype=complex)
         for c, p in obj:
             m += c * _string_matrix(p)
         return DenseOperator(m)
     if isinstance(obj, CliffordCircuit):
-        if obj.layout.total_sites > _cap("circuit"):
-            raise DimensionCapError(f"{obj.layout.total_sites} sites exceeds cap")
+        check_limit(obj.layout.total_sites, "circuit")
         m = np.eye(obj.layout.dim, dtype=complex)
         for g in obj.gates:  # leftmost factor first in the matrix product
             m = m @ _gate_matrix(obj.layout, g)
@@ -194,10 +195,12 @@ def hermitian_eigensolve(op: DenseOperator | np.ndarray,
 
     Each rotation exactly diagonalizes one Hermitian 2x2 block; eigenvalues
     are returned ascending with the matching eigenvector columns.  Raises on
-    non-Hermitian input or if ``sweep_cap`` sweeps fail to converge.
+    non-Hermitian input, past the eigensolve site limit, or if ``sweep_cap``
+    sweeps fail to converge.
     """
     if isinstance(op, np.ndarray):
         op = DenseOperator(op)
+    check_limit((op.dim - 1).bit_length(), "eigensolve")
     if op.antilinear or not op.is_hermitian():
         raise ValueError("eigensolver requires a Hermitian linear operator")
     a0 = op.matrix

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import build_u2, build_u_gauged
-from .dense import DenseOperator, StateVector, hermitian_eigensolve, materialize
+from .dense import (DenseOperator, StateVector, check_limit,
+                    hermitian_eigensolve, materialize)
 from .models import Family, ModelSpec, build_hamiltonian, gauss_law_operators
 from .pauli import ancilla_layout, matter_layout, symmetry_projector
 
@@ -62,8 +63,7 @@ def build_d_hat(L: int, sign: int, antilinear: bool = False) -> DenseOperator:
 
 def gauss_sector_projector(L: int) -> DenseOperator:
     """prod_j (1 + G_j)/2 on the fully gauged space; trace 2^L."""
-    if L > 5:
-        raise ValueError("fully gauged projector capped at L = 5")
+    check_limit(2 * L, "string", "circuit")
     ops = gauss_law_operators(L)
     dim = ops[0].layout.dim
     proj = np.eye(dim, dtype=complex)
@@ -111,14 +111,13 @@ def spectral_multiset_factor(ev_a: np.ndarray, ev_b: np.ndarray,
             "equivalent": factor is not None}
 
 
-def spectral_equivalence_check(L: int, include_dense: bool = True) -> dict:
+def spectral_equivalence_check(L: int) -> dict:
     """Fully gauged vs minimally gauged spectra, up to a uniform degeneracy.
 
     The observed factor is reported, not assumed; dimension counting predicts
     2^(L-1).
     """
-    if L > 5:
-        raise ValueError("spectral equivalence capped at L = 5")
+    check_limit(2 * L, "string", "eigensolve")
     h_full = materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, L)))
     h_min = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
     ev_full = hermitian_eigensolve(h_full).eigenvalues

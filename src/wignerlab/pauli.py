@@ -222,14 +222,6 @@ class PauliSum:
     def from_string(cls, p: PauliString, coeff: complex = 1.0) -> "PauliSum":
         return cls(p.layout, {(p.x_mask, p.z_mask): coeff * p.coefficient})
 
-    @classmethod
-    def from_terms(cls, layout: HilbertLayout,
-                   pairs: Iterable[tuple[complex, PauliString]]) -> "PauliSum":
-        out = cls.zero(layout)
-        for c, p in pairs:
-            out = out + cls.from_string(p, c)
-        return out
-
     # -- inspection --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -326,6 +318,20 @@ def symmetry_projector(sign: int, layout: HilbertLayout,
 # ---------------------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"([XYZ])(?:\[([^\]]+)\]|(\d+))")
+_LAYOUT_RE = re.compile(r"\s*L=(\d+),\s*gauge=\[([^\]]*)\]\s*$")
+
+
+def format_layout(layout: HilbertLayout) -> str:
+    """The layout header ``L=<n>, gauge=[<labels>]`` shared by all text forms."""
+    return f"L={layout.n_matter}, gauge=[{','.join(layout.gauge_slots)}]"
+
+
+def parse_layout(text: str) -> HilbertLayout:
+    m = _LAYOUT_RE.match(text)
+    if not m:
+        raise ValueError(f"bad layout header {text!r}")
+    return HilbertLayout(int(m.group(1)),
+                         tuple(s for s in m.group(2).split(",") if s))
 
 
 def _site_token(layout: HilbertLayout, bit: int) -> str:
@@ -349,17 +355,12 @@ def format_string(p: PauliString) -> str:
             toks.append("Z" + _site_token(p.layout, bit))
     exp = (p.phase_exp - n_y) % 4  # i^p X Z = i^(p-1) Y per Y site
     body = " ".join(toks) if toks else "I"
-    gauge = ",".join(p.layout.gauge_slots)
-    return f"(+1i^{exp}) {body} | L={p.layout.n_matter}, gauge=[{gauge}]"
+    return f"(+1i^{exp}) {body} | {format_layout(p.layout)}"
 
 
 def parse_string(text: str) -> PauliString:
     body, _, header = text.partition("|")
-    m = re.match(r"\s*L=(\d+),\s*gauge=\[([^\]]*)\]\s*$", header)
-    if not m:
-        raise ValueError(f"bad layout header in {text!r}")
-    layout = HilbertLayout(int(m.group(1)),
-                           tuple(s for s in m.group(2).split(",") if s))
+    layout = parse_layout(header)
     pm = re.match(r"\s*\(\+1i\^(\d)\)\s*(.*)$", body)
     if not pm:
         raise ValueError(f"bad phase prefix in {text!r}")
@@ -387,7 +388,7 @@ def parse_string(text: str) -> PauliString:
 
 
 def format_sum(s: PauliSum) -> str:
-    lines = [f"L={s.layout.n_matter}, gauge=[{','.join(s.layout.gauge_slots)}]"]
+    lines = [format_layout(s.layout)]
     for c, p in s:
         body = format_string(p).split(" | ")[0]
         lines.append(f"{c!r}  {body}")
@@ -395,16 +396,12 @@ def format_sum(s: PauliSum) -> str:
 
 
 def parse_sum(text: str) -> PauliSum:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    m = re.match(r"\s*L=(\d+),\s*gauge=\[([^\]]*)\]\s*$", lines[0])
-    if not m:
-        raise ValueError("bad layout header")
-    layout = HilbertLayout(int(m.group(1)),
-                           tuple(s for s in m.group(2).split(",") if s))
+    header, *lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
+    layout = parse_layout(header)
     out = PauliSum.zero(layout)
-    for ln in lines[1:]:
+    for ln in lines:
         coeff_txt, body = ln.split("  ", 1)
         c = complex(coeff_txt)
-        p = parse_string(f"{body} | L={layout.n_matter}, gauge=[{','.join(layout.gauge_slots)}]")
+        p = parse_string(f"{body} | {format_layout(layout)}")
         out = out + PauliSum.from_string(p, c)
     return out

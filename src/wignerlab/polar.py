@@ -28,6 +28,7 @@ class SVDResult:
 class PolarFactors:
     unitary_part: DenseOperator   # antilinear iff the input was (the K factor)
     psd_part: DenseOperator       # Hermitian positive semi-definite, linear
+    sigma: np.ndarray             # singular values, descending
     rank: int
     invertible: bool
 
@@ -105,7 +106,7 @@ def polar_decompose(a: DenseOperator | np.ndarray) -> PolarFactors:
     p_hat = (res.v * res.sigma) @ res.v.conj().T
     p_hat = 0.5 * (p_hat + p_hat.conj().T)
     return PolarFactors(DenseOperator(u_hat, antilinear=antilinear),
-                        DenseOperator(p_hat), res.rank,
+                        DenseOperator(p_hat), res.sigma, res.rank,
                         invertible=res.rank == mat.shape[0])
 
 
@@ -135,12 +136,10 @@ def verify_theorem_structure(d: DenseOperator, isometry: np.ndarray,
     offdiag_error = float(np.linalg.norm(perp @ p2 @ p_h))
     proj_error = float(max(np.linalg.norm(p_h @ p_hat - p_h),
                            np.linalg.norm(p_hat @ p_h - p_h)))
-
-    svd_res = svd(d.matrix if not d.antilinear else d.matrix)
     return {
         "reconstruction_error": float(np.linalg.norm(
             factors.unitary_part.matrix @ p_hat - d.matrix)),
-        "sigma": [float(s) for s in svd_res.sigma],
+        "sigma": [float(s) for s in factors.sigma],
         "rank": factors.rank,
         "invertible": factors.invertible,
         "block_identity_error": block_identity_error,

@@ -1,14 +1,19 @@
 """Command-line contract: exit codes, report formats, determinism modulo the
 timing header, dimension-cap skipping, and fault injection."""
 
+import contextlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from wignerlab.cli import main
-from wignerlab.dense import read_dense_binary, read_dense_csv
+from wignerlab.dense import (EIGENSOLVE_SITE_LIMIT, ConvergenceError,
+                             read_dense_binary, read_dense_csv)
 
 
 def run(*args):
@@ -46,9 +51,22 @@ def test_full_suite_exits_zero():
     ("transition-check", "--sign", "x"),
     ("commutators", "--L", "0"),
     ("unknown-command",),
+    ("spectrum", "--model", "h2", "--L", "11"),  # over the eigensolve limit
+    ("transition-check", "--pairs", "0"),
 ])
 def test_usage_errors_exit_two(args):
     assert run(*args).exit_code == 2
+
+
+def test_full_suite_honours_sign():
+    common = ("--L", "3", "--sign", "-", "--seed", "1")
+    suite = json.loads(run("full-suite", *common, "--pairs", "10").output)
+    assert suite["config"]["sign"] == "-"
+    got = [(c["name"], c["status"], c["measured"]) for c in suite["checks"]]
+    for args in (("transition-check", *common, "--pairs", "10"), ("polar", *common)):
+        want = [(c["name"], c["status"], c["measured"])
+                for c in json.loads(run(*args).output)["checks"]]
+        assert any(got[i:i + len(want)] == want for i in range(len(got))), args[0]
 
 
 @pytest.mark.parametrize("fault", ["flip-boundary-sign", "nontrivial-projector"])
@@ -115,6 +133,14 @@ def test_large_L_skips_dense_checks():
     assert any(c["status"] == "pass" for c in report["checks"])
 
 
+def test_polar_beyond_eigensolve_limit_skips():
+    res = run("polar", "--L", "10")
+    assert res.exit_code == 0
+    (check,) = json.loads(res.output)["checks"]
+    assert check["status"] == "skipped"
+    assert f"eigensolve limit of {EIGENSOLVE_SITE_LIMIT}" in check["reason"]
+
+
 def test_automorphism_scales_symbolically():
     assert run("verify-automorphism", "--circuit", "u2", "--L", "64").exit_code == 0
 
@@ -142,3 +168,57 @@ def test_spectrum_csv_format_lists_values():
     out = run("spectrum", "--model", "h1", "--L", "2", "--format", "csv").output
     rows = [line.split(",") for line in out.strip().splitlines()]
     assert len(rows) == 4 and rows[0][0] == "0"
+
+
+# -- no input ends in a traceback ------------------------------------------------
+
+@contextlib.contextmanager
+def _broken_solver():
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("no convergence after 0 sweeps")
+    with mock.patch("wignerlab.cli.hermitian_eigensolve", no_convergence), \
+            mock.patch("wignerlab.gauge.hermitian_eigensolve", no_convergence):
+        yield
+
+
+@pytest.mark.parametrize("args", [("spectrum", "--model", "h2", "--L", "2"),
+                                  ("gauge-equivalence", "--L", "2")])
+def test_convergence_error_is_a_failed_check(args):
+    with _broken_solver():
+        res = run(*args)
+    assert res.exit_code == 1
+    assert json.loads(res.output)["checks"][-1]["status"] == "fail"
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["verify-automorphism", "commutators",
+                                "transition-check", "polar", "spectrum",
+                                "gauge-equivalence", "full-suite"]),
+       L=st.integers(0, 2), sign=st.sampled_from(["+", "-", "x"]),
+       fmt=st.sampled_from(["json", "csv", "text"]),
+       pairs=st.integers(-1, 3),
+       tol_scale=st.floats(allow_nan=True, allow_infinity=True),
+       out=st.sampled_from([None, "report.txt", "missing/report.txt", "."]),
+       matrix_out=st.sampled_from([None, "h.bin", "missing/h.bin"]),
+       broken=st.booleans())
+def test_cli_ends_in_exit_code_not_traceback(tmp_path, command, L, sign, fmt,
+                                             pairs, tol_scale, out,
+                                             matrix_out, broken):
+    args = [command, "--L", str(L), "--sign", sign, "--format", fmt,
+            "--tol-scale", repr(tol_scale)]
+    if command in ("transition-check", "full-suite"):
+        args += ["--pairs", str(pairs)]
+    if command == "verify-automorphism":
+        args += ["--circuit", "u1"]
+    if command == "spectrum":
+        args += ["--model", "h-min-gauged"]
+        if matrix_out:
+            args += ["--matrix-out", str(tmp_path / matrix_out)]
+    if out:
+        args += ["--out", str(tmp_path / out)]
+    with _broken_solver() if broken else contextlib.nullcontext():
+        res = run(*args)
+    assert res.exit_code in (0, 1, 2), res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        repr(res.exception)

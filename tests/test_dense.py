@@ -14,10 +14,11 @@ from conftest import oracle_string_matrix
 from wignerlab.clifford import (CliffordCircuit, ControlledX, Hadamard,
                                 QuarterRotation, Swap, build_u1, build_u2,
                                 build_u_gauged)
-from wignerlab.dense import (DEFAULT_CIRCUIT_CAP, DEFAULT_STRING_CAP,
-                             DENSE_CAP_ENV, DenseOperator, DimensionCapError,
-                             StateVector, hermitian_eigensolve, materialize,
-                             random_state, read_dense_binary, read_dense_csv,
+from wignerlab.dense import (CIRCUIT_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
+                             STRING_SITE_LIMIT, DenseOperator,
+                             DimensionCapError, StateVector,
+                             hermitian_eigensolve, materialize, random_state,
+                             read_dense_binary, read_dense_csv,
                              transition_experiment, write_dense_binary,
                              write_dense_csv)
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
@@ -98,26 +99,19 @@ def test_circuits_materialize_unitary(build, L):
 # -- dimension caps -------------------------------------------------------------
 
 def test_string_cap_enforced():
-    lay = matter_layout(DEFAULT_STRING_CAP + 1)
+    lay = matter_layout(STRING_SITE_LIMIT + 1)
     with pytest.raises(DimensionCapError):
         materialize(PauliString.single(lay, "X", 1))
 
 
 def test_circuit_cap_enforced():
     with pytest.raises(DimensionCapError):
-        materialize(build_u1(DEFAULT_CIRCUIT_CAP + 1))
+        materialize(build_u1(CIRCUIT_SITE_LIMIT + 1))
 
 
-def test_cap_env_override(monkeypatch):
-    monkeypatch.setenv(DENSE_CAP_ENV, "4")
-    with pytest.raises(DimensionCapError):
-        materialize(PauliString.single(matter_layout(5), "X", 1))
-    assert materialize(PauliString.single(matter_layout(4), "X", 1)).dim == 16
-    monkeypatch.setenv(DENSE_CAP_ENV, "2")
-    with pytest.raises(DimensionCapError):
-        materialize(build_u1(3))  # allowed by the default cap, not by env
-    monkeypatch.delenv(DENSE_CAP_ENV)
-    assert materialize(build_u1(3)).dim == 8
+def test_eigensolve_limit_enforced_before_any_sweep():
+    with pytest.raises(DimensionCapError, match="eigensolve limit"):
+        hermitian_eigensolve(np.eye(2 << EIGENSOLVE_SITE_LIMIT))
 
 
 # -- eigensolver ----------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_string_matrix
+from wignerlab.clifford import parse_circuit
 from wignerlab.pauli import (HilbertLayout, LayoutMismatchError, PauliString,
                              PauliSum, ancilla_layout, commutes, eta_string,
                              format_string, format_sum, link_layout,
@@ -204,3 +205,8 @@ def test_sum_text_roundtrip(p, q, c):
 def test_parse_rejects_malformed():
     with pytest.raises(ValueError):
         parse_string("(+1i^0) Q1 | L=3, gauge=[]")
+    for parse, text in [(parse_sum, ""), (parse_circuit, ""),
+                        (parse_circuit, "L=2, gauge=[]\nCX 1"),
+                        (parse_circuit, "L=2, gauge=[]\nH 3")]:
+        with pytest.raises(ValueError):
+            parse(text)
