@@ -200,7 +200,8 @@ def polar_checks(L: int, sign: int, seed: int, tol_scale: float = 1.0) -> list[d
                            neg["block_identity_error"]))
 
     hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
-    cor = corollary_check(hg, d_hat, emb.isometry, tol=1e-9 * tol_scale)
+    cor = corollary_check(hg, rep["factors"], emb.isometry,
+                          tol=1e-9 * tol_scale)
     if cor["status"] == "skipped":
         out.append(_skip("corollary P_H [H_G, U_hat] P_H", cor["reason"]))
     else:
@@ -338,6 +339,12 @@ _pairs_option = click.option("--pairs", type=click.IntRange(min=1), default=100,
                              show_default=True)
 
 
+def _finite_positive(ctx, param, value: float) -> float:
+    if not 0 < value < float("inf"):  # also rejects nan
+        raise click.BadParameter("must be finite and positive")
+    return value
+
+
 def _common(f):
     f = click.option("--L", "L", type=click.IntRange(min=2), default=3,
                      show_default=True)(f)
@@ -347,7 +354,8 @@ def _common(f):
     f = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                      default="json", show_default=True)(f)
     f = click.option("--out", "out_path", type=click.Path(), default=None)(f)
-    f = click.option("--tol-scale", type=float, default=1.0, show_default=True)(f)
+    f = click.option("--tol-scale", type=float, default=1.0, show_default=True,
+                     callback=_finite_positive)(f)
     return f
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Union
 
-from .pauli import (HilbertLayout, PauliString, SiteRef, ancilla_layout,
-                    commutes, eta_string, format_layout, format_string,
-                    matter_layout, mul, parse_layout, parse_string)
+from .pauli import (HilbertLayout, PauliString, PauliSum, SiteRef,
+                    ancilla_layout, commutes, eta_string, format_layout,
+                    format_string, matter_layout, mul, parse_layout,
+                    parse_string)
 
 
 @dataclass(frozen=True)
@@ -135,6 +136,14 @@ def conjugate_circuit(c: CliffordCircuit, p: PauliString) -> PauliString:
     for g in reversed(c.gates):
         p = conjugate_gate(g, p)
     return p
+
+
+def conjugate_sum(c: CliffordCircuit, h: PauliSum) -> PauliSum:
+    """``U h U†`` for a sum, term by term."""
+    out = PauliSum.zero(h.layout)
+    for coeff, p in h:
+        out = out + PauliSum.from_string(conjugate_circuit(c, p), coeff)
+    return out
 
 
 # ---------------------------------------------------------------------------

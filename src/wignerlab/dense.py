@@ -2,7 +2,9 @@
 
 Strings are materialized by direct bit action on basis states (no Kronecker
 chains); circuits as ordered products of exact gate matrices.  The Hermitian
-eigensolver is a self-contained cyclic Jacobi iteration.  Operators carry an
+eigensolver is a self-contained cyclic Jacobi iteration on each connected
+component of the exact nonzero pattern, so a matrix written in a basis that
+diagonalizes its symmetries is solved sector by sector.  Operators carry an
 ``antilinear`` flag: such an operator acts as ``M . K`` (complex conjugation
 first).
 """
@@ -189,23 +191,12 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(off))
 
 
-def hermitian_eigensolve(op: DenseOperator | np.ndarray,
-                         sweep_cap: int = JACOBI_SWEEP_CAP) -> SpectrumResult:
-    """Diagonalize a Hermitian operator by cyclic Jacobi rotations.
-
-    Each rotation exactly diagonalizes one Hermitian 2x2 block; eigenvalues
-    are returned ascending with the matching eigenvector columns.  Raises on
-    non-Hermitian input, past the eigensolve site limit, or if ``sweep_cap``
-    sweeps fail to converge.
-    """
-    if isinstance(op, np.ndarray):
-        op = DenseOperator(op)
-    check_limit((op.dim - 1).bit_length(), "eigensolve")
-    if op.antilinear or not op.is_hermitian():
-        raise ValueError("eigensolver requires a Hermitian linear operator")
-    a0 = op.matrix
-    n = op.dim
-    a = a0.copy()
+def _jacobi(block: np.ndarray, sweep_cap: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cyclic Jacobi on one Hermitian block: eigenvalues in diagonal order,
+    eigenvector columns and sweeps.  Each rotation exactly diagonalizes one
+    Hermitian 2x2 sub-block."""
+    n = block.shape[0]
+    a = block.copy()
     v = np.eye(n, dtype=complex)
     scale = max(float(np.linalg.norm(a)), 1e-300)
     target = 1e-13 * scale
@@ -240,7 +231,47 @@ def hermitian_eigensolve(op: DenseOperator | np.ndarray,
                 a[p, p] = a[p, p].real
                 a[q, q] = a[q, q].real
         sweeps += 1
-    vals = np.diag(a).real
+    return np.diag(a).real, v, sweeps
+
+
+def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a symmetric boolean pattern as ascending index
+    arrays, in the order of their smallest index."""
+    label = np.full(pattern.shape[0], -1)
+    for root in range(pattern.shape[0]):
+        frontier = [root] if label[root] < 0 else []
+        while len(frontier):
+            label[frontier] = root
+            frontier = np.flatnonzero(pattern[frontier].any(axis=0) & (label < 0))
+    return [np.flatnonzero(label == root) for root in np.unique(label)]
+
+
+def hermitian_eigensolve(op: DenseOperator | np.ndarray,
+                         sweep_cap: int = JACOBI_SWEEP_CAP) -> SpectrumResult:
+    """Diagonalize a Hermitian operator by cyclic Jacobi rotations on each
+    connected component of its symmetrized nonzero pattern.
+
+    Eigenvalues are returned ascending with the matching eigenvector
+    columns; the residual is measured against the whole input.
+    ``sweep_cap`` applies to each block and ``sweeps`` is the most any block
+    took.  Raises past the eigensolve site limit, on non-Hermitian input, or
+    if a block does not converge.
+    """
+    if isinstance(op, np.ndarray):
+        op = DenseOperator(op)
+    check_limit((op.dim - 1).bit_length(), "eigensolve")
+    if op.antilinear or not op.is_hermitian():
+        raise ValueError("eigensolver requires a Hermitian linear operator")
+    a0 = op.matrix
+    n = op.dim
+    nonzero = a0 != 0
+    vals = np.zeros(n)
+    v = np.zeros((n, n), dtype=complex)
+    sweeps = 0
+    for idx in _blocks(nonzero | nonzero.T):
+        block = np.ix_(idx, idx)
+        vals[idx], v[block], block_sweeps = _jacobi(a0[block], sweep_cap)
+        sweeps = max(sweeps, block_sweeps)
     order = np.argsort(vals, kind="stable")
     vals = vals[order]
     vecs = v[:, order]
@@ -306,12 +337,18 @@ def write_dense_binary(path: str, m: np.ndarray) -> None:
 
 
 def read_dense_binary(path: str) -> np.ndarray:
+    """Read a ``write_dense_binary`` dump; the file length must match its
+    header exactly."""
     with open(path, "rb") as fh:
         header = fh.read(16)
-        if header[:8] != _MAGIC:
-            raise ValueError("bad magic")
+        if len(header) < 16 or header[:8] != _MAGIC:
+            raise ValueError("bad magic or truncated header")
         rows, cols = struct.unpack("<II", header[8:])
-        inter = np.frombuffer(fh.read(), dtype="<f8")
+        body = fh.read()
+    if len(body) != rows * cols * 16:
+        raise ValueError(f"file length {16 + len(body)} does not match the "
+                         f"{rows}x{cols} header ({16 + rows * cols * 16})")
+    inter = np.frombuffer(body, dtype="<f8")
     flat = inter[0::2] + 1j * inter[1::2]
     return flat.reshape(rows, cols)
 

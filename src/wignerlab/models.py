@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .clifford import CliffordCircuit, DualityMap, build_u2, conjugate_circuit
+from .clifford import DualityMap, build_u2, conjugate_sum
 from .pauli import (HilbertLayout, PauliString, PauliSum, ancilla_layout,
                     eta_string, link_layout, matter_layout, mul,
                     sum_commutator, symmetry_projector)
@@ -147,14 +147,8 @@ def projected_commutation_check(L: int, sign: int) -> dict:
         raise ValueError("sign must be +1 or -1")
     fam = Family.PERIODIC_H_PLUS if sign > 0 else Family.ANTIPERIODIC_H_MINUS
     h = build_hamiltonian(ModelSpec(fam, L))
-    layout = h.layout
-    circuit = build_u2(L)
-    conjugated = PauliSum.zero(layout)
-    for c, p in h:
-        img = conjugate_circuit(circuit, p)
-        conjugated = conjugated + PauliSum.from_string(img, c)
-    proj = symmetry_projector(sign, layout)
-    residual = conjugated * proj - h * proj
+    proj = symmetry_projector(sign, h.layout)
+    residual = conjugate_sum(build_u2(L), h) * proj - h * proj
     return {
         "L": L,
         "sign": sign,

@@ -117,7 +117,8 @@ def verify_theorem_structure(d: DenseOperator, isometry: np.ndarray,
     With iota the isometric embedding of the physical space, checks that
     (i) the embedded block of P_hat is the identity, (ii) P_hat^2 has no
     matrix elements between the embedded space and its complement, and
-    (iii) P_H P_hat = P_hat P_H = P_H.
+    (iii) P_H P_hat = P_hat P_H = P_H.  The report carries the polar
+    ``factors`` so that a later check on the same operator reuses them.
     """
     iota = np.asarray(isometry, dtype=complex)
     if iota.shape[0] != d.dim:
@@ -147,15 +148,17 @@ def verify_theorem_structure(d: DenseOperator, isometry: np.ndarray,
         "projector_identity_error": proj_error,
         "passed": (block_identity_error < tol and offdiag_error < tol
                    and proj_error < tol),
+        "factors": factors,
     }
 
 
-def corollary_check(h_g: DenseOperator, d: DenseOperator,
+def corollary_check(h_g: DenseOperator, d: DenseOperator | PolarFactors,
                     isometry: np.ndarray, tol: float = 1e-9) -> dict:
     """P_H [H_G, U_hat] P_H must vanish when [H_G, P_H] = 0.
 
-    The precondition is verified first; on violation the check is reported
-    as skipped.
+    ``d`` is the operator or, when already computed, its polar factors.  The
+    precondition is verified first; on violation the check is reported as
+    skipped.
     """
     iota = np.asarray(isometry, dtype=complex)
     p_h = iota @ iota.conj().T
@@ -165,7 +168,8 @@ def corollary_check(h_g: DenseOperator, d: DenseOperator,
     if pre > 1e-10 * scale:
         return {"status": "skipped", "precondition_norm": pre,
                 "reason": "[H_G, P_H] != 0"}
-    u_hat = polar_decompose(d).unitary_part.matrix
+    factors = d if isinstance(d, PolarFactors) else polar_decompose(d)
+    u_hat = factors.unitary_part.matrix
     comm = hg @ u_hat - u_hat @ hg
     measured = float(np.linalg.norm(p_h @ comm @ p_h))
     return {"status": "pass" if measured < tol else "fail",

@@ -175,7 +175,7 @@ def test_criterion_6_corollary_commutation():
 def test_criterion_7_spectral_equivalence():
     t0 = time.monotonic()
     ok = True
-    for L in (2, 3):
+    for L in (2, 3, 4):
         res = spectral_equivalence_check(L)
         ok = ok and res["equivalent"] \
             and res["uniform_factor"] == 1 << (L - 1)

@@ -3,6 +3,7 @@ timing header, dimension-cap skipping, and fault injection."""
 
 import contextlib
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -53,9 +54,20 @@ def test_full_suite_exits_zero():
     ("unknown-command",),
     ("spectrum", "--model", "h2", "--L", "11"),  # over the eigensolve limit
     ("transition-check", "--pairs", "0"),
+    ("polar", "--L", "2", "--tol-scale", "nan"),
+    ("polar", "--L", "2", "--tol-scale", "inf"),
+    ("polar", "--L", "2", "--tol-scale", "-1"),
+    ("polar", "--L", "2", "--tol-scale", "0"),
 ])
 def test_usage_errors_exit_two(args):
     assert run(*args).exit_code == 2
+
+
+def test_gauge_equivalence_at_L5():
+    res = run("gauge-equivalence", "--L", "5")
+    assert res.exit_code == 0, res.output
+    checks = json.loads(res.output)["checks"]
+    assert [c["status"] for c in checks] == ["pass"] * 6
 
 
 def test_full_suite_honours_sign():
@@ -222,3 +234,5 @@ def test_cli_ends_in_exit_code_not_traceback(tmp_path, command, L, sign, fmt,
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        assert res.exit_code == 2, res.output

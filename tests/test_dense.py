@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
+from scipy.sparse.csgraph import connected_components
 
 from conftest import oracle_string_matrix
+from wignerlab import dense
 from wignerlab.clifford import (CliffordCircuit, ControlledX, Hadamard,
                                 QuarterRotation, Swap, build_u1, build_u2,
                                 build_u_gauged)
 from wignerlab.dense import (CIRCUIT_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
-                             STRING_SITE_LIMIT, DenseOperator,
-                             DimensionCapError, StateVector,
+                             STRING_SITE_LIMIT, ConvergenceError,
+                             DenseOperator, DimensionCapError, StateVector,
                              hermitian_eigensolve, materialize, random_state,
                              read_dense_binary, read_dense_csv,
                              transition_experiment, write_dense_binary,
@@ -157,6 +159,51 @@ def test_eigensolver_exact_on_degenerate_diagonal():
     assert res.residual == 0.0
 
 
+def _random_hermitian(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (m + m.conj().T) / 2
+
+
+def test_eigensolver_on_permuted_blocks_vs_lapack():
+    rng = np.random.default_rng(5)
+    m = block_diag(*(_random_hermitian(rng, n) for n in (5, 9, 3)))
+    perm = rng.permutation(m.shape[0])
+    m = m[np.ix_(perm, perm)]
+    res = hermitian_eigensolve(m)
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
+    v = res.eigenvectors
+    assert np.linalg.norm(v.conj().T @ v - np.eye(17)) < 1e-12
+    assert np.linalg.norm((v * res.eigenvalues) @ v.conj().T - m) < 1e-12
+    assert res.residual < 1e-12
+
+
+def test_blocks_follow_symmetrized_pattern(monkeypatch):
+    # blocks {0, 2} and {1, 3} are joined only by a[1, 2], whose mirror a[2, 1]
+    # is zero: Hermitian within is_hermitian's tolerance, pattern asymmetric
+    a = np.array([[1.0, 0, 0.5, 0], [0, -2.0, 1e-12, 0.25],
+                  [0.5, 0, 3.0, 0], [0, 0.25, 0, 4.0]], dtype=complex)
+    seen = []
+    blocks = dense._blocks
+    monkeypatch.setattr(dense, "_blocks",
+                        lambda pattern: seen.append(blocks(pattern)) or seen[-1])
+    res = hermitian_eigensolve(a)
+    got = seen[0]
+    assert sorted(np.concatenate(got).tolist()) == list(range(4))
+    count, labels = connected_components(a != 0, directed=True,
+                                         connection="weak")
+    assert sorted(sorted(b.tolist()) for b in got) == sorted(
+        np.flatnonzero(labels == k).tolist() for k in range(count))
+    herm = (a + a.conj().T) / 2
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(herm))) < 1e-11
+
+
+def test_sweep_cap_applies_to_each_block():
+    m = block_diag(np.diag([1.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(ConvergenceError):
+        hermitian_eigensolve(m, sweep_cap=0)
+    assert hermitian_eigensolve(np.diag([1.0, 2.0]), sweep_cap=0).sweeps == 0
+
+
 def test_eigensolver_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -236,4 +283,15 @@ def test_binary_dump_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
     with pytest.raises(ValueError):
+        read_dense_binary(path)
+
+
+@pytest.mark.parametrize("edit", [lambda b: b[:-16], lambda b: b + bytes(16),
+                                  lambda b: b[:12]],
+                         ids=["truncated", "trailing", "short-header"])
+def test_binary_dump_rejects_length_not_matching_header(tmp_path, edit):
+    path = tmp_path / "m.bin"
+    write_dense_binary(path, np.eye(3, dtype=complex))
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match="header"):
         read_dense_binary(path)

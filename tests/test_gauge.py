@@ -4,7 +4,9 @@ gauged chains."""
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
+from wignerlab import gauge
 from wignerlab.dense import (DenseOperator, hermitian_eigensolve, materialize,
                              random_state, transition_experiment)
 from wignerlab.gauge import (ancilla_sector_embedding, build_d_hat,
@@ -163,6 +165,21 @@ def test_spectral_equivalence_of_gauged_chains(L):
     res = spectral_equivalence_check(L)
     assert res["equivalent"]
     assert res["uniform_factor"] == res["predicted_factor"] == 1 << (L - 1)
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_rotated_full_gauged_spectrum_matches_unrotated(L, monkeypatch):
+    solved = []
+    solve = gauge.hermitian_eigensolve
+    monkeypatch.setattr(gauge, "hermitian_eigensolve",
+                        lambda op: solved.append(op) or solve(op))
+    gauge.spectral_equivalence_check(L)
+    rotated = solved[0].matrix
+    h = materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, L)))
+    assert np.max(np.abs(solve(rotated).eigenvalues
+                         - np.linalg.eigvalsh(h.matrix))) < 1e-12
+    # one block per Gauss sector
+    assert connected_components(rotated != 0, directed=False)[0] == 1 << L
 
 
 def test_spectral_equivalence_rejects_large_L():
