@@ -8,7 +8,7 @@ Usage: python scripts/spectrum_scan.py [Lmin] [Lmax] [n_levels]
 import sys
 
 from wignerlab.dense import hermitian_eigensolve, materialize, over_limit
-from wignerlab.models import Family, ModelSpec, build_hamiltonian
+from wignerlab.models import Family, ModelSpec, eigensolve_hamiltonian
 
 
 def main() -> int:
@@ -17,7 +17,7 @@ def main() -> int:
     n_levels = int(sys.argv[3]) if len(sys.argv) > 3 else 4
     for L in range(lmin, lmax + 1):
         for fam in Family:
-            h = build_hamiltonian(ModelSpec(fam, L))
+            h = eigensolve_hamiltonian(ModelSpec(fam, L))
             if over_limit(h.layout.total_sites, "string", "eigensolve"):
                 continue
             op = materialize(h)

@@ -28,7 +28,8 @@ from .dense import (TAU_EIG_PER_DIM, ConvergenceError, DenseOperator,
 from .gauge import (ancilla_sector_embedding, build_d_hat,
                     build_d_noninvertible, embed_state, gauss_sector_projector,
                     sector_blocks, spectral_equivalence_check)
-from .models import (Family, ModelSpec, build_hamiltonian, eta_conservation,
+from .models import (Family, ModelSpec, build_hamiltonian,
+                     eigensolve_hamiltonian, eta_conservation,
                      projected_commutation_check)
 from .pauli import ancilla_layout, symmetry_projector
 
@@ -119,9 +120,12 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
     return out
 
 
-def _seeded_pairs(dim: int, seed: int, count: int) -> list[tuple[StateVector, StateVector]]:
-    return [(random_state(dim, 2 * seed + 1000 * k),
-             random_state(dim, 2 * seed + 1000 * k + 1)) for k in range(count)]
+def _seeded_pairs(dim: int, seed: int, stream: int,
+                  count: int) -> list[tuple[StateVector, StateVector]]:
+    """``count`` state pairs, state j of pair k seeded by ``(seed, stream, k, j)``:
+    stream 0 for the matter pairs, 1 for the embedded pairs."""
+    return [(random_state(dim, (seed, stream, k, 0)),
+             random_state(dim, (seed, stream, k, 1))) for k in range(count)]
 
 
 def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
@@ -139,7 +143,7 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
                       abs(measured - 0.25), 1e-12 * tol_scale))
     out.append(_check("counterexample reference = 1",
                       abs(rep["pairs"][0]["p_reference"] - 1.0), 1e-12))
-    rep = transition_experiment(d, _seeded_pairs(1 << L, seed, pairs))
+    rep = transition_experiment(d, _seeded_pairs(1 << L, seed, 0, pairs))
     out.append(_check("D on matter space violates probabilities",
                       rep["max_deviation"], 0.05, above=True))
 
@@ -155,7 +159,7 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
         d_hat = build_d_hat(L, sign)
         d_hat_anti = build_d_hat(L, sign, antilinear=True)
     epairs = [(embed_state(a, emb), embed_state(b, emb))
-              for a, b in _seeded_pairs(1 << L, seed + 7, pairs)]
+              for a, b in _seeded_pairs(1 << L, seed, 1, pairs)]
     for op, kind in ((d_hat, "linear"), (d_hat_anti, "antilinear")):
         rep = transition_experiment(op, epairs)
         out.append(_check(f"D_hat preserves embedded probabilities ({kind})",
@@ -350,7 +354,8 @@ def _common(f):
                      show_default=True)(f)
     f = click.option("--sign", type=click.Choice(["+", "-"]), default="+",
                      show_default=True)(f)
-    f = click.option("--seed", type=int, default=0, show_default=True)(f)
+    f = click.option("--seed", type=click.IntRange(min=0), default=0,
+                     show_default=True)(f)
     f = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                      default="json", show_default=True)(f)
     f = click.option("--out", "out_path", type=click.Path(), default=None)(f)
@@ -410,13 +415,15 @@ def cmd_spectrum(model, matrix_out, matrix_format, L, tol_scale, **_):
     extra = {}
 
     def battery():
-        h = build_hamiltonian(ModelSpec(_MODELS[model], L))
+        spec = ModelSpec(_MODELS[model], L)
+        h = eigensolve_hamiltonian(spec)
         check_limit(h.layout.total_sites, "string", "eigensolve")
         op = materialize(h)
         result = hermitian_eigensolve(op)
         if matrix_out:
             dump = write_dense_binary if matrix_format == "bin" else write_dense_csv
-            _write(matrix_out, lambda p: dump(p, op.matrix))
+            m = materialize(build_hamiltonian(spec)).matrix
+            _write(matrix_out, lambda p: dump(p, m))
         extra["eigenvalues"] = [float(v) for v in result.eigenvalues]
         return [_check("eigensolver residual", result.residual,
                        TAU_EIG_PER_DIM * op.dim * tol_scale)]

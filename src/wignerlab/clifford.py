@@ -1,15 +1,16 @@
 """Clifford gates, duality circuits, and automorphism verification.
 
-Gates act on Pauli strings by exact symbolic conjugation ``g p g†``.  A
-circuit stores its gate list left to right exactly as the operator product is
-written, with the leftmost factor applied last; conjugating through the
-circuit therefore folds the gates from the rightmost (innermost) factor
-outward.
+Every gate is defined once, in ``rotation_factors``, as a global phase times
+quarter rotations ``exp(±i pi/4 A)`` about Hermitian Pauli strings, each of
+which conjugates a Pauli string by an exact rule.  A circuit stores its gates
+left to right as the operator product is written (the leftmost applied last)
+and flattens them once into one phase and one tuple of factors; ``g p g†``
+folds over the factors from the rightmost (innermost) outward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 from .pauli import (HilbertLayout, PauliString, PauliSum, SiteRef,
@@ -66,64 +67,50 @@ def _rot_conjugate(axis: PauliString, sign: int, p: PauliString) -> PauliString:
                        out.phase_exp + (1 if sign > 0 else 3))
 
 
-def rotation_factors(layout: HilbertLayout, g: ControlledX | ControlledZ):
-    """``(s, ((A1, s1), (A2, s2), (A3, s3)))`` with
-    ``g = e^{i s pi/4} R(A1, s1) R(A2, s2) R(A3, s3)``, ``R(A, t) = exp(i t pi/4 A)``.
+def rotation_factors(layout: HilbertLayout, g: CliffordGate):
+    """``(s, ((A1, t1), (A2, t2), ...))`` with
+    ``g = e^{i s pi/4} R(A1, t1) R(A2, t2) ...``, ``R(A, t) = exp(i t pi/4 A)``.
 
-    The three factors commute.  This is the one definition of CX and CZ: the
-    symbolic conjugation drops the global phase, the dense backend keeps it.
+    This is the one definition of every gate: symbolic conjugation folds the
+    factors and drops the global phase, the dense backend multiplies them and
+    keeps it.
     """
-    if isinstance(g, ControlledX):
-        zc = PauliString.single(layout, "Z", g.control)
-        xt = PauliString.single(layout, "X", g.target)
-        return 1, ((mul(zc, xt), 1), (zc, -1), (xt, -1))
-    zi = PauliString.single(layout, "Z", g.i)
-    zj = PauliString.single(layout, "Z", g.j)
-    return -1, ((mul(zi, zj), -1), (zi, 1), (zj, 1))
-
-
-def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
-    """Exact ``g p g†`` for a single gate."""
-    layout = p.layout
+    single = lambda kind, site: PauliString.single(layout, kind, site)
     if isinstance(g, QuarterRotation):
         if g.axis.layout != layout:
-            raise ValueError("gate/operand layout mismatch")
-        return _rot_conjugate(g.axis, g.sign, p)
+            raise ValueError("rotation axis layout differs from the operand's")
+        return 0, ((g.axis, g.sign),)
     if isinstance(g, Hadamard):
-        b = 1 << layout.index_of(g.site)
-        x, z = p.x_mask, p.z_mask
-        nx = (x & ~b) | (z & b)
-        nz = (z & ~b) | (x & b)
-        phase = p.phase_exp + (2 if (x & z & b) else 0)  # Y -> -Y
-        return PauliString(layout, nx, nz, phase)
+        z, x = single("Z", g.site), single("X", g.site)
+        return -2, ((z, 1), (x, 1), (z, 1))
     if isinstance(g, Swap):
-        bi, bj = layout.index_of(g.i), layout.index_of(g.j)
-
-        def swap_bits(m: int) -> int:
-            vi, vj = (m >> bi) & 1, (m >> bj) & 1
-            if vi != vj:
-                m ^= (1 << bi) | (1 << bj)
-            return m
-
-        return PauliString(layout, swap_bits(p.x_mask), swap_bits(p.z_mask),
-                           p.phase_exp)
-    if not isinstance(g, (ControlledX, ControlledZ)):
-        raise TypeError(f"unknown gate {g!r}")
-    for axis, sign in rotation_factors(layout, g)[1]:  # commuting: any order
-        p = _rot_conjugate(axis, sign, p)
-    return p
+        pair = lambda kind: mul(single(kind, g.i), single(kind, g.j))
+        return -1, ((pair("X"), 1), (pair("Y"), 1), (pair("Z"), 1))
+    if isinstance(g, ControlledX):
+        zc, xt = single("Z", g.control), single("X", g.target)
+        return 1, ((mul(zc, xt), 1), (zc, -1), (xt, -1))
+    if isinstance(g, ControlledZ):
+        zi, zj = single("Z", g.i), single("Z", g.j)
+        return -1, ((mul(zi, zj), -1), (zi, 1), (zj, 1))
+    raise TypeError(f"unknown gate {g!r}")
 
 
 @dataclass(frozen=True)
 class CliffordCircuit:
+    """The ordered product of ``gates``, also held as one global phase
+    ``e^{i phase pi/4}`` times the flat tuple of quarter-rotation ``factors``."""
     layout: HilbertLayout
     gates: tuple[CliffordGate, ...]
+    phase: int = field(init=False, repr=False, compare=False)
+    factors: tuple[tuple[PauliString, int], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
-            if isinstance(g, QuarterRotation) and g.axis.layout != self.layout:
-                raise ValueError("rotation axis layout differs from circuit")
+        parts = [rotation_factors(self.layout, g) for g in self.gates]
+        object.__setattr__(self, "phase", sum(s for s, _ in parts) % 8)
+        object.__setattr__(self, "factors",
+                           tuple(f for _, fs in parts for f in fs))
 
     def __len__(self) -> int:
         return len(self.gates)
@@ -133,9 +120,15 @@ def conjugate_circuit(c: CliffordCircuit, p: PauliString) -> PauliString:
     """``U p U†`` for the full ordered product."""
     if c.layout != p.layout:
         raise ValueError("circuit/operand layout mismatch")
-    for g in reversed(c.gates):
-        p = conjugate_gate(g, p)
+    # U p U† = R1 (R2 (... p ...) R2†) R1†: the rightmost factor acts first
+    for axis, sign in reversed(c.factors):
+        p = _rot_conjugate(axis, sign, p)
     return p
+
+
+def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
+    """Exact ``g p g†`` for a single gate."""
+    return conjugate_circuit(CliffordCircuit(p.layout, (g,)), p)
 
 
 def conjugate_sum(c: CliffordCircuit, h: PauliSum) -> PauliSum:

@@ -1,25 +1,26 @@
 """Dense complex-matrix materialization, eigensolving, and state experiments.
 
-Strings are materialized by direct bit action on basis states (no Kronecker
-chains); circuits as ordered products of exact gate matrices.  The Hermitian
-eigensolver is a self-contained cyclic Jacobi iteration on each connected
-component of the exact nonzero pattern, so a matrix written in a basis that
-diagonalizes its symmetries is solved sector by sector.  Operators carry an
-``antilinear`` flag: such an operator acts as ``M . K`` (complex conjugation
-first).
+A Pauli string is a signed permutation of basis states, so strings and sums
+are scattered into one matrix by direct bit action (no Kronecker chains, no
+matrix per term); a circuit is built from the identity by one O(dim^2) column
+update per quarter rotation of its gate table.  The Hermitian eigensolver is
+a self-contained cyclic Jacobi iteration on each connected component of the
+exact nonzero pattern, so a matrix written in a basis that diagonalizes its
+symmetries is solved sector by sector.  Operators carry an ``antilinear``
+flag: such an operator acts as ``M . K`` (complex conjugation first).
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (CliffordCircuit, ControlledX, ControlledZ, Hadamard,
-                       QuarterRotation, Swap, rotation_factors)
-from .pauli import HilbertLayout, PauliString, PauliSum
+from .clifford import CliffordCircuit
+from .pauli import PauliString, PauliSum
 
 TAU_UNIT = 1e-10
 TAU_EIG_PER_DIM = 1e-9
@@ -125,60 +126,38 @@ class SpectrumResult:
 # materialization
 # ---------------------------------------------------------------------------
 
-def _string_matrix(p: PauliString) -> np.ndarray:
-    dim = p.layout.dim
-    cols = np.arange(dim)
-    rows = cols ^ p.x_mask
+def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, values)`` with ``p|c> = values[c] |rows[c]>``."""
+    cols = np.arange(p.layout.dim)
     # Z acts first in the per-site X·Z order
     signs = 1 - 2 * (np.bitwise_count(cols & p.z_mask) & 1).astype(np.int64)
-    m = np.zeros((dim, dim), dtype=complex)
-    m[rows, cols] = (1j ** p.phase_exp) * signs
-    return m
-
-
-def _rotation_matrix(axis: PauliString, sign: int) -> np.ndarray:
-    # exp(i s pi/4 A) = (I + i s A)/sqrt(2) for Hermitian A with A^2 = I
-    a = _string_matrix(axis)
-    return (np.eye(axis.layout.dim) + 1j * sign * a) / math.sqrt(2.0)
-
-
-def _gate_matrix(layout: HilbertLayout, g) -> np.ndarray:
-    if isinstance(g, QuarterRotation):
-        return _rotation_matrix(g.axis, g.sign)
-    if isinstance(g, Hadamard):
-        # i exp(-i pi (Z+X) / (2 sqrt 2)) collapses to (X+Z)/sqrt(2)
-        x = PauliString.single(layout, "X", g.site)
-        z = PauliString.single(layout, "Z", g.site)
-        return (_string_matrix(x) + _string_matrix(z)) / math.sqrt(2.0)
-    if isinstance(g, (ControlledX, ControlledZ)):
-        phase, ((axis, sign), *rest) = rotation_factors(layout, g)
-        m = _rotation_matrix(axis, sign)
-        for axis, sign in rest:
-            m = m @ _rotation_matrix(axis, sign)
-        return np.exp(phase * 1j * math.pi / 4) * m
-    if isinstance(g, Swap):
-        cx = lambda c, t: _gate_matrix(layout, ControlledX(c, t))
-        return cx(g.i, g.j) @ cx(g.j, g.i) @ cx(g.i, g.j)
-    raise TypeError(f"unknown gate {g!r}")
+    return cols ^ p.x_mask, (1j ** p.phase_exp) * signs
 
 
 def materialize(obj: PauliString | PauliSum | CliffordCircuit) -> DenseOperator:
-    """Explicit complex matrix of a string, sum, or circuit."""
-    if isinstance(obj, PauliString):
+    """Explicit complex matrix of a string, sum, or circuit.
+
+    A circuit right-multiplies the identity by each quarter rotation
+    ``(I + i t A)/sqrt(2)``: column ``c`` of ``m A`` is ``values[c]`` times
+    column ``rows[c]`` of ``m``.
+    """
+    if isinstance(obj, (PauliString, PauliSum)):
         check_limit(obj.layout.total_sites, "string")
-        return DenseOperator(_string_matrix(obj))
-    if isinstance(obj, PauliSum):
-        check_limit(obj.layout.total_sites, "string")
-        m = np.zeros((obj.layout.dim, obj.layout.dim), dtype=complex)
-        for c, p in obj:
-            m += c * _string_matrix(p)
+        dim = obj.layout.dim
+        cols = np.arange(dim)
+        m = np.zeros((dim, dim), dtype=complex)
+        terms = PauliSum.from_string(obj) if isinstance(obj, PauliString) else obj
+        for c, p in terms:
+            rows, values = _signed_permutation(p)
+            m[rows, cols] += c * values
         return DenseOperator(m)
     if isinstance(obj, CliffordCircuit):
         check_limit(obj.layout.total_sites, "circuit")
         m = np.eye(obj.layout.dim, dtype=complex)
-        for g in obj.gates:  # leftmost factor first in the matrix product
-            m = m @ _gate_matrix(obj.layout, g)
-        return DenseOperator(m)
+        for axis, sign in obj.factors:  # leftmost factor first in the product
+            rows, values = _signed_permutation(axis)
+            m = (m + (1j * sign) * values * m[:, rows]) / math.sqrt(2.0)
+        return DenseOperator(np.exp(obj.phase * 1j * math.pi / 4) * m)
     raise TypeError(f"cannot materialize {type(obj).__name__}")
 
 
@@ -283,8 +262,9 @@ def hermitian_eigensolve(op: DenseOperator | np.ndarray,
 # states and experiments
 # ---------------------------------------------------------------------------
 
-def random_state(dim: int, seed: int) -> StateVector:
-    """Normalized state with Gaussian real/imag parts from PCG64(seed)."""
+def random_state(dim: int, seed: int | Sequence[int]) -> StateVector:
+    """Normalized state with Gaussian real/imag parts from PCG64(seed); a
+    sequence of non-negative integers seeds one independent stream."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     rng = np.random.default_rng(seed)

@@ -7,11 +7,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import (CliffordCircuit, Hadamard, build_u2, build_u_gauged,
-                       conjugate_sum)
+from .clifford import build_u2, build_u_gauged
 from .dense import (DenseOperator, StateVector, check_limit,
                     hermitian_eigensolve, materialize)
-from .models import Family, ModelSpec, build_hamiltonian, gauss_law_operators
+from .models import (Family, ModelSpec, eigensolve_hamiltonian,
+                     gauss_law_operators)
 from .pauli import ancilla_layout, matter_layout, symmetry_projector
 
 
@@ -116,18 +116,15 @@ def spectral_equivalence_check(L: int) -> dict:
     """Fully gauged vs minimally gauged spectra, up to a uniform degeneracy.
 
     The observed factor is reported, not assumed; dimension counting predicts
-    2^(L-1).  H_full is solved after a Hadamard on every matter site, an
-    exact similarity that turns each Gauss operator Z X_j Z into the diagonal
-    Z Z_j Z, so the matrix falls apart into the 2^L Gauss sectors.
+    2^(L-1).  Both chains are solved in the basis of
+    ``models.eigensolve_hamiltonian``, where H_full falls apart into the 2^L
+    Gauss sectors.
     """
     check_limit(2 * L, "string", "eigensolve")
-    h = build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, L))
-    hadamards = CliffordCircuit(h.layout,
-                                tuple(Hadamard(j) for j in range(1, L + 1)))
-    h_full = materialize(conjugate_sum(hadamards, h))
-    h_min = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
-    ev_full = hermitian_eigensolve(h_full).eigenvalues
-    ev_min = hermitian_eigensolve(h_min).eigenvalues
+    ev_full, ev_min = (
+        hermitian_eigensolve(materialize(eigensolve_hamiltonian(
+            ModelSpec(fam, L)))).eigenvalues
+        for fam in (Family.FULLY_GAUGED_HG, Family.MINIMAL_GAUGED_HG))
     res = spectral_multiset_factor(ev_full, ev_min)
     res.update({"model_a": "h-full-gauged", "model_b": "h-min-gauged", "L": L,
                 "predicted_factor": 1 << (L - 1)})

@@ -12,7 +12,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .clifford import DualityMap, build_u2, conjugate_sum
+from .clifford import (CliffordCircuit, DualityMap, Hadamard, build_u2,
+                       conjugate_sum)
 from .pauli import (HilbertLayout, PauliString, PauliSum, ancilla_layout,
                     eta_string, link_layout, matter_layout, mul,
                     sum_commutator, symmetry_projector)
@@ -92,6 +93,18 @@ def build_hamiltonian(spec: ModelSpec) -> PauliSum:
         bond = mul(mul(z(L), PauliString.single(layout, "Z", "L+1")), z(1))
         return h - PauliSum.from_string(bond)
     raise ValueError(f"unknown family {spec.family}")
+
+
+def eigensolve_hamiltonian(spec: ModelSpec) -> PauliSum:
+    """The Hamiltonian of ``spec`` in the basis its eigensolve uses: H_full
+    after a Hadamard on every matter site, an exact similarity that makes each
+    Gauss operator Z X_j Z diagonal (Z Z_j Z) so the matrix falls apart into
+    the 2^L Gauss sectors; every other family as built."""
+    h = build_hamiltonian(spec)
+    if spec.family is not Family.FULLY_GAUGED_HG:
+        return h
+    return conjugate_sum(CliffordCircuit(
+        h.layout, tuple(Hadamard(j) for j in range(1, spec.L + 1))), h)
 
 
 def gauss_law_operators(L: int) -> list[PauliSum]:

@@ -12,9 +12,10 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wignerlab.cli import main
+from wignerlab.cli import _seeded_pairs, main
 from wignerlab.dense import (EIGENSOLVE_SITE_LIMIT, ConvergenceError,
-                             read_dense_binary, read_dense_csv)
+                             materialize, read_dense_binary, read_dense_csv)
+from wignerlab.models import Family, ModelSpec, build_hamiltonian
 
 
 def run(*args):
@@ -176,10 +177,38 @@ def test_spectrum_eigenvalues_and_matrix_dump(tmp_path):
     assert np.allclose(read_dense_csv(csv_path), m)
 
 
+def test_spectrum_full_gauged_is_solved_by_gauss_sector(tmp_path):
+    path = tmp_path / "h.bin"
+    res = run("spectrum", "--model", "h-full-gauged", "--L", "4",
+              "--matrix-out", str(path))
+    assert res.exit_code == 0, res.output
+    # the dump stays the unrotated matrix; the spectrum is its spectrum
+    m = read_dense_binary(path)
+    want = materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, 4)))
+    assert np.array_equal(m, want.matrix)
+    got = np.array(json.loads(res.output)["eigenvalues"])
+    assert np.max(np.abs(got - np.linalg.eigvalsh(m))) < 1e-12
+    res = run("spectrum", "--model", "h-full-gauged", "--L", "5")
+    assert res.exit_code == 0, res.output
+
+
 def test_spectrum_csv_format_lists_values():
     out = run("spectrum", "--model", "h1", "--L", "2", "--format", "csv").output
     rows = [line.split(",") for line in out.strip().splitlines()]
     assert len(rows) == 4 and rows[0][0] == "0"
+
+
+# -- seeded state pairs ---------------------------------------------------------
+
+def test_seeded_pairs_do_not_collide():
+    def states(seed, stream):
+        return {s.amplitudes.tobytes()
+                for pair in _seeded_pairs(8, seed, stream, 100) for s in pair}
+
+    matter = states(0, 0)
+    assert len(matter) == 200
+    assert not matter & states(500, 0)
+    assert not matter & states(0, 1)
 
 
 # -- no input ends in a traceback ------------------------------------------------
@@ -209,16 +238,16 @@ def test_convergence_error_is_a_failed_check(args):
                                 "gauge-equivalence", "full-suite"]),
        L=st.integers(0, 2), sign=st.sampled_from(["+", "-", "x"]),
        fmt=st.sampled_from(["json", "csv", "text"]),
-       pairs=st.integers(-1, 3),
+       pairs=st.integers(-1, 3), seed=st.integers(-2, 2),
        tol_scale=st.floats(allow_nan=True, allow_infinity=True),
        out=st.sampled_from([None, "report.txt", "missing/report.txt", "."]),
        matrix_out=st.sampled_from([None, "h.bin", "missing/h.bin"]),
        broken=st.booleans())
 def test_cli_ends_in_exit_code_not_traceback(tmp_path, command, L, sign, fmt,
-                                             pairs, tol_scale, out,
+                                             pairs, seed, tol_scale, out,
                                              matrix_out, broken):
     args = [command, "--L", str(L), "--sign", sign, "--format", fmt,
-            "--tol-scale", repr(tol_scale)]
+            "--seed", str(seed), "--tol-scale", repr(tol_scale)]
     if command in ("transition-check", "full-suite"):
         args += ["--pairs", str(pairs)]
     if command == "verify-automorphism":
@@ -235,4 +264,6 @@ def test_cli_ends_in_exit_code_not_traceback(tmp_path, command, L, sign, fmt,
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)
     if not (math.isfinite(tol_scale) and tol_scale > 0):
+        assert res.exit_code == 2, res.output
+    if seed < 0:
         assert res.exit_code == 2, res.output

@@ -14,6 +14,7 @@ from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 conjugate_gate, format_circuit, parse_circuit,
                                 phi1_table, phi2_table, phi_gauged_table,
                                 verify_automorphism)
+from wignerlab.dense import materialize
 from wignerlab.pauli import PauliString, ancilla_layout, matter_layout
 
 LAYOUT3 = matter_layout(3)
@@ -107,14 +108,23 @@ def test_rotation_signs_are_mutually_inverse(p, axis):
 
 # -- circuits ---------------------------------------------------------------
 
+def all_gates3(L):
+    """Every gate of GATES3 and a quarter rotation, in one circuit."""
+    layout = matter_layout(L)
+    axis = PauliString.from_sites(layout, [("X", 1), ("Y", 3)])
+    return CliffordCircuit(layout, (*GATES3, QuarterRotation(axis, -1)))
+
+
 @pytest.mark.parametrize("build,L", [(build_u1, 4), (build_u2, 3),
-                                     (build_u_gauged, 3)])
+                                     (build_u_gauged, 3), (all_gates3, 3)])
 def test_circuit_conjugation_matches_dense(build, L):
     c = build(L)
     layout = c.layout
     u = np.eye(layout.dim, dtype=complex)
     for g in c.gates:
         u = u @ oracle_gate_matrix(layout, g)
+    # the dense circuit is the oracle product, global phase included
+    assert np.allclose(materialize(c).matrix, u, atol=1e-12)
     rng = np.random.default_rng(5)
     full = layout.dim - 1
     for _ in range(25):

@@ -13,9 +13,9 @@ from scipy.sparse.csgraph import connected_components
 
 from conftest import oracle_string_matrix
 from wignerlab import dense
-from wignerlab.clifford import (CliffordCircuit, ControlledX, Hadamard,
-                                QuarterRotation, Swap, build_u1, build_u2,
-                                build_u_gauged)
+from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
+                                Hadamard, QuarterRotation, Swap, build_u1,
+                                build_u2, build_u_gauged)
 from wignerlab.dense import (CIRCUIT_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
                              STRING_SITE_LIMIT, ConvergenceError,
                              DenseOperator, DimensionCapError, StateVector,
@@ -86,6 +86,8 @@ def test_controlled_and_swap_gates_dense():
     want_cx = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
                        dtype=complex)
     assert np.allclose(cx, want_cx, atol=1e-12)
+    cz = materialize(CliffordCircuit(lay, (ControlledZ(1, 2),))).matrix
+    assert np.allclose(cz, np.diag([1, 1, 1, -1]), atol=1e-12)
     sw = materialize(CliffordCircuit(lay, (Swap(1, 2),))).matrix
     want_sw = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
                        dtype=complex)
