@@ -3,6 +3,8 @@
 of system sizes and print one summary line per size.
 
 Usage: python scripts/run_full_suite.py [Lmin] [Lmax]
+
+Exits 0 if every check passes, 1 if one fails, 2 on bad arguments.
 """
 
 import sys
@@ -22,12 +24,18 @@ def run(L: int) -> bool:
     return n_fail == 0
 
 
-def main() -> int:
-    lmin = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-    lmax = int(sys.argv[2]) if len(sys.argv) > 2 else 4
+def main(argv: list[str]) -> int:
+    try:
+        lmin, lmax = map(int, argv + ["2", "4"][len(argv):])
+    except ValueError:  # not an integer, or too many arguments
+        lmin = lmax = 0
+    if not 2 <= lmin <= lmax:
+        print("usage: run_full_suite.py [Lmin] [Lmax]  (integers, "
+              "2 <= Lmin <= Lmax)", file=sys.stderr)
+        return 2
     ok = all([run(L) for L in range(lmin, lmax + 1)])
     return 0 if ok else 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -3,6 +3,8 @@
 using only the in-package Jacobi eigensolver.
 
 Usage: python scripts/spectrum_scan.py [Lmin] [Lmax] [n_levels]
+
+Exits 2 on bad arguments.
 """
 
 import sys
@@ -11,14 +13,19 @@ from wignerlab.dense import hermitian_eigensolve, materialize, over_limit
 from wignerlab.models import Family, ModelSpec, eigensolve_hamiltonian
 
 
-def main() -> int:
-    lmin = int(sys.argv[1]) if len(sys.argv) > 1 else 2
-    lmax = int(sys.argv[2]) if len(sys.argv) > 2 else 3
-    n_levels = int(sys.argv[3]) if len(sys.argv) > 3 else 4
+def main(argv: list[str]) -> int:
+    try:
+        lmin, lmax, n_levels = map(int, argv + ["2", "3", "4"][len(argv):])
+    except ValueError:  # not an integer, or too many arguments
+        lmin = lmax = n_levels = 0
+    if not (2 <= lmin <= lmax and n_levels >= 1):
+        print("usage: spectrum_scan.py [Lmin] [Lmax] [n_levels]  (integers, "
+              "2 <= Lmin <= Lmax, n_levels >= 1)", file=sys.stderr)
+        return 2
     for L in range(lmin, lmax + 1):
         for fam in Family:
             h = eigensolve_hamiltonian(ModelSpec(fam, L))
-            if over_limit(h.layout.total_sites, "string", "eigensolve"):
+            if over_limit(h.layout.total_sites, "eigensolve"):
                 continue
             op = materialize(h)
             ev = hermitian_eigensolve(op).eigenvalues[:n_levels]
@@ -28,4 +35,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

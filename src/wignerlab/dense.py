@@ -1,13 +1,12 @@
 """Dense complex-matrix materialization, eigensolving, and state experiments.
 
-A Pauli string is a signed permutation of basis states, so strings and sums
-are scattered into one matrix by direct bit action (no Kronecker chains, no
-matrix per term); a circuit is built from the identity by one O(dim^2) column
-update per quarter rotation of its gate table.  The Hermitian eigensolver is
-a self-contained cyclic Jacobi iteration on each connected component of the
-exact nonzero pattern, so a matrix written in a basis that diagonalizes its
-symmetries is solved sector by sector.  Operators carry an ``antilinear``
-flag: such an operator acts as ``M . K`` (complex conjugation first).
+A Pauli string is a signed permutation of basis states: a string or sum is
+scattered into one matrix, a circuit is built from the identity by one
+O(dim^2) column update per quarter rotation, and a string or sum multiplied on
+the right is one O(dim^2) column gather per term.  The Hermitian eigensolver
+is cyclic Jacobi on each connected component of the exact nonzero pattern, so
+a matrix in a basis that diagonalizes its symmetries is solved sector by
+sector.  An ``antilinear`` operator acts as ``M . K`` (conjugation first).
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ TAU_EIG_PER_DIM = 1e-9
 JACOBI_SWEEP_CAP = 100
 
 # The only limits on dense work, in total sites; every caller asks over_limit.
-STRING_SITE_LIMIT = 14      # materialized strings and sums
-CIRCUIT_SITE_LIMIT = 12     # circuits and other products of dense factors
-EIGENSOLVE_SITE_LIMIT = 10  # Jacobi at dim 1024: the fully gauged chain at L = 5
-SITE_LIMITS = {"string": STRING_SITE_LIMIT, "circuit": CIRCUIT_SITE_LIMIT,
-               "eigensolve": EIGENSOLVE_SITE_LIMIT}
+DENSE_SITE_LIMIT = 12       # memory: one complex128 matrix is 256 MiB
+EIGENSOLVE_SITE_LIMIT = 10  # Jacobi time, not memory: fully gauged chain at L = 5
+SITE_LIMITS = {"dense": DENSE_SITE_LIMIT, "eigensolve": EIGENSOLVE_SITE_LIMIT}
 
 
 class DimensionCapError(ValueError):
@@ -42,17 +39,15 @@ class ConvergenceError(RuntimeError):
     """Jacobi sweeps exhausted before the off-diagonal norm target."""
 
 
-def over_limit(sites: int, *kinds: str) -> str | None:
-    """Why dense work of these kinds on ``sites`` total sites does not fit,
-    or None if it fits every limit."""
-    for kind in kinds:
-        if sites > SITE_LIMITS[kind]:
-            return f"{sites} sites exceeds the {kind} limit of {SITE_LIMITS[kind]}"
+def over_limit(sites: int, kind: str) -> str | None:
+    """Why work of this kind on ``sites`` total sites does not fit, or None."""
+    if sites > SITE_LIMITS[kind]:
+        return f"{sites} sites exceeds the {kind} limit of {SITE_LIMITS[kind]}"
     return None
 
 
-def check_limit(sites: int, *kinds: str) -> None:
-    why = over_limit(sites, *kinds)
+def check_limit(sites: int, kind: str) -> None:
+    why = over_limit(sites, kind)
     if why:
         raise DimensionCapError(why)
 
@@ -134,31 +129,42 @@ def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return cols ^ p.x_mask, (1j ** p.phase_exp) * signs
 
 
-def materialize(obj: PauliString | PauliSum | CliffordCircuit) -> DenseOperator:
-    """Explicit complex matrix of a string, sum, or circuit.
+def _terms(obj: PauliString | PauliSum) -> PauliSum:
+    return PauliSum.from_string(obj) if isinstance(obj, PauliString) else obj
 
-    A circuit right-multiplies the identity by each quarter rotation
-    ``(I + i t A)/sqrt(2)``: column ``c`` of ``m A`` is ``values[c]`` times
-    column ``rows[c]`` of ``m``.
+
+def materialize(obj: PauliString | PauliSum | CliffordCircuit,
+                *right: PauliString | PauliSum) -> DenseOperator:
+    """Explicit complex matrix of a string, sum, or circuit, times each string
+    or sum in ``right``, taken left to right.
+
+    Column ``c`` of ``m A`` is ``values[c]`` times column ``rows[c]`` of
+    ``m``: a circuit right-multiplies the identity by each quarter rotation
+    ``(I + i t A)/sqrt(2)``, and each term of a right factor is one gather.
     """
-    if isinstance(obj, (PauliString, PauliSum)):
-        check_limit(obj.layout.total_sites, "string")
-        dim = obj.layout.dim
-        cols = np.arange(dim)
-        m = np.zeros((dim, dim), dtype=complex)
-        terms = PauliSum.from_string(obj) if isinstance(obj, PauliString) else obj
-        for c, p in terms:
-            rows, values = _signed_permutation(p)
-            m[rows, cols] += c * values
-        return DenseOperator(m)
+    if any(factor.layout != obj.layout for factor in right):
+        raise ValueError("right factor is on a different layout")
+    check_limit(obj.layout.total_sites, "dense")
+    dim = obj.layout.dim
     if isinstance(obj, CliffordCircuit):
-        check_limit(obj.layout.total_sites, "circuit")
-        m = np.eye(obj.layout.dim, dtype=complex)
+        m = np.eye(dim, dtype=complex)
         for axis, sign in obj.factors:  # leftmost factor first in the product
             rows, values = _signed_permutation(axis)
             m = (m + (1j * sign) * values * m[:, rows]) / math.sqrt(2.0)
-        return DenseOperator(np.exp(obj.phase * 1j * math.pi / 4) * m)
-    raise TypeError(f"cannot materialize {type(obj).__name__}")
+        m = np.exp(obj.phase * 1j * math.pi / 4) * m
+    else:
+        cols = np.arange(dim)
+        m = np.zeros((dim, dim), dtype=complex)
+        for c, p in _terms(obj):
+            rows, values = _signed_permutation(p)
+            m[rows, cols] += c * values
+    for factor in right:
+        out = np.zeros_like(m)
+        for c, p in _terms(factor):
+            rows, values = _signed_permutation(p)
+            out += (c * values) * m[:, rows]
+        m = out
+    return DenseOperator(m)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from .dense import (DenseOperator, StateVector, check_limit,
                     hermitian_eigensolve, materialize)
 from .models import (Family, ModelSpec, eigensolve_hamiltonian,
                      gauss_law_operators)
-from .pauli import ancilla_layout, matter_layout, symmetry_projector
+from .pauli import PauliSum, ancilla_layout, matter_layout, symmetry_projector
 
 
 @dataclass(frozen=True)
@@ -47,30 +47,24 @@ def embed_state(alpha: StateVector, e: SectorEmbedding) -> StateVector:
 
 def build_d_noninvertible(L: int, sign: int) -> DenseOperator:
     """D± = U2 * (1 ± eta)/2 on the matter space; rank 2^(L-1)."""
-    layout = matter_layout(L)
-    u = materialize(build_u2(L))
-    p = materialize(symmetry_projector(sign, layout))
-    return u.compose(p)
+    return materialize(build_u2(L), symmetry_projector(sign, matter_layout(L)))
 
 
 def build_d_hat(L: int, sign: int, antilinear: bool = False) -> DenseOperator:
     """D̂± = U_gauged * (1 ± Z_{L+1})/2 on the enlarged space; optionally the
     antilinear variant U_gauged * P̃± * K."""
-    layout = ancilla_layout(L)
-    u = materialize(build_u_gauged(L))
-    p = materialize(symmetry_projector(sign, layout, on_ancilla=True))
-    return DenseOperator(u.matrix @ p.matrix, antilinear=antilinear)
+    p = symmetry_projector(sign, ancilla_layout(L), on_ancilla=True)
+    return DenseOperator(materialize(build_u_gauged(L), p).matrix, antilinear=antilinear)
 
 
 def gauss_sector_projector(L: int) -> DenseOperator:
-    """prod_j (1 + G_j)/2 on the fully gauged space; trace 2^L."""
-    check_limit(2 * L, "string", "circuit")
+    """prod_j (1 + G_j)/2 on the fully gauged space, multiplied out
+    symbolically into 2^L terms; trace 2^L."""
     ops = gauss_law_operators(L)
-    dim = ops[0].layout.dim
-    proj = np.eye(dim, dtype=complex)
+    proj = one = PauliSum.identity(ops[0].layout)
     for g in ops:
-        proj = proj @ (np.eye(dim) + materialize(g).matrix) / 2
-    return DenseOperator(proj)
+        proj = proj * (0.5 * (one + g))
+    return materialize(proj)
 
 
 def _cluster(values: np.ndarray, tol: float = 1e-8) -> list[tuple[float, int]]:
@@ -120,7 +114,7 @@ def spectral_equivalence_check(L: int) -> dict:
     ``models.eigensolve_hamiltonian``, where H_full falls apart into the 2^L
     Gauss sectors.
     """
-    check_limit(2 * L, "string", "eigensolve")
+    check_limit(2 * L, "eigensolve")
     ev_full, ev_min = (
         hermitian_eigensolve(materialize(eigensolve_hamiltonian(
             ModelSpec(fam, L)))).eigenvalues

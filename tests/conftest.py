@@ -1,13 +1,17 @@
 """Shared independent oracles for the test suite.
 
 These helpers deliberately avoid the package's own dense backend: string
-matrices are assembled from literal 2x2 Paulis with np.kron, so that the
-bit-action implementation in wignerlab.dense is tested against a second,
-structurally different construction.
+matrices are assembled from literal 2x2 Paulis with np.kron and gate matrices
+from literal 4x4 gates or scipy's expm, so that the bit-action implementation
+in wignerlab.dense is tested against a second, structurally different
+construction.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
+from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
+                                Hadamard, QuarterRotation, Swap)
 from wignerlab.pauli import PauliString
 
 I2 = np.eye(2, dtype=complex)
@@ -58,3 +62,36 @@ def embed_two_site(gate: np.ndarray, n: int, hi: int, lo: int) -> np.ndarray:
             row |= (r & 1) << lo
             out[row, col] += amp
     return out
+
+
+CX4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+               dtype=complex)  # basis index 2*control + target
+CZ4 = np.diag([1, 1, 1, -1]).astype(complex)
+SWAP4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                 dtype=complex)
+H2X2 = (X2 + Z2) / np.sqrt(2)
+
+
+def oracle_gate_matrix(layout, g) -> np.ndarray:
+    n = layout.total_sites
+    if isinstance(g, Hadamard):
+        return kron_chain([H2X2 if b == layout.index_of(g.site) else I2
+                           for b in range(n)])
+    if isinstance(g, ControlledX):
+        return embed_two_site(CX4, n, layout.index_of(g.control),
+                              layout.index_of(g.target))
+    if isinstance(g, ControlledZ):
+        return embed_two_site(CZ4, n, layout.index_of(g.i), layout.index_of(g.j))
+    if isinstance(g, Swap):
+        return embed_two_site(SWAP4, n, layout.index_of(g.i), layout.index_of(g.j))
+    if isinstance(g, QuarterRotation):
+        return expm(1j * g.sign * (np.pi / 4) * oracle_string_matrix(g.axis))
+    raise TypeError(g)
+
+
+def oracle_circuit_matrix(c: CliffordCircuit) -> np.ndarray:
+    """Product of the oracle gate matrices, first gate leftmost."""
+    u = np.eye(c.layout.dim, dtype=complex)
+    for g in c.gates:
+        u = u @ oracle_gate_matrix(c.layout, g)
+    return u

@@ -34,6 +34,8 @@ def run(*args):
     ("polar", "--L", "3"),
     ("spectrum", "--model", "h2", "--L", "2"),
     ("gauge-equivalence", "--L", "2"),
+    ("transition-check", "--L", "7"),
+    ("transition-check", "--L", "7", "--sign", "-"),
 ])
 def test_passing_commands_exit_zero(args):
     res = run(*args)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
-from conftest import embed_two_site, kron_chain, oracle_string_matrix, I2, X2, Z2
+from conftest import (oracle_circuit_matrix, oracle_gate_matrix,
+                      oracle_string_matrix)
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap, build_u1,
                                 build_u2, build_u_gauged, conjugate_circuit,
@@ -18,30 +18,6 @@ from wignerlab.dense import materialize
 from wignerlab.pauli import PauliString, ancilla_layout, matter_layout
 
 LAYOUT3 = matter_layout(3)
-
-CX4 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-               dtype=complex)  # basis index 2*control + target
-CZ4 = np.diag([1, 1, 1, -1]).astype(complex)
-SWAP4 = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                 dtype=complex)
-H2X2 = (X2 + Z2) / np.sqrt(2)
-
-
-def oracle_gate_matrix(layout, g) -> np.ndarray:
-    n = layout.total_sites
-    if isinstance(g, Hadamard):
-        return kron_chain([H2X2 if b == layout.index_of(g.site) else I2
-                           for b in range(n)])
-    if isinstance(g, ControlledX):
-        return embed_two_site(CX4, n, layout.index_of(g.control),
-                              layout.index_of(g.target))
-    if isinstance(g, ControlledZ):
-        return embed_two_site(CZ4, n, layout.index_of(g.i), layout.index_of(g.j))
-    if isinstance(g, Swap):
-        return embed_two_site(SWAP4, n, layout.index_of(g.i), layout.index_of(g.j))
-    if isinstance(g, QuarterRotation):
-        return expm(1j * g.sign * (np.pi / 4) * oracle_string_matrix(g.axis))
-    raise TypeError(g)
 
 
 def strings(layout=LAYOUT3):
@@ -120,9 +96,7 @@ def all_gates3(L):
 def test_circuit_conjugation_matches_dense(build, L):
     c = build(L)
     layout = c.layout
-    u = np.eye(layout.dim, dtype=complex)
-    for g in c.gates:
-        u = u @ oracle_gate_matrix(layout, g)
+    u = oracle_circuit_matrix(c)
     # the dense circuit is the oracle product, global phase included
     assert np.allclose(materialize(c).matrix, u, atol=1e-12)
     rng = np.random.default_rng(5)

@@ -3,6 +3,7 @@ eigensolver against LAPACK, antilinear composition, seeded states, transition
 experiments, and the matrix dump formats."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from wignerlab import dense
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap, build_u1,
                                 build_u2, build_u_gauged)
-from wignerlab.dense import (CIRCUIT_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
-                             STRING_SITE_LIMIT, ConvergenceError,
-                             DenseOperator, DimensionCapError, StateVector,
+from wignerlab.dense import (DENSE_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
+                             ConvergenceError, DenseOperator,
+                             DimensionCapError, StateVector,
                              hermitian_eigensolve, materialize, random_state,
                              read_dense_binary, read_dense_csv,
                              transition_experiment, write_dense_binary,
                              write_dense_csv)
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
-from wignerlab.pauli import PauliString, PauliSum, eta_string, matter_layout
+from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout, eta_string,
+                             matter_layout, symmetry_projector)
 
 LAYOUT3 = matter_layout(3)
 
@@ -100,17 +102,49 @@ def test_circuits_materialize_unitary(build, L):
     assert materialize(build(L)).is_unitary()
 
 
+def test_right_factors_multiply_left_to_right():
+    p = PauliString(LAYOUT3, 0b011, 0b110, 1)
+    q = PauliString(LAYOUT3, 0b101, 0b001, 3)
+    s = PauliSum.from_string(p, 0.5 - 2j) + PauliSum.from_string(q, 1.5)
+    mp, mq = oracle_string_matrix(p), oracle_string_matrix(q)
+    want = mq @ ((0.5 - 2j) * mp + 1.5 * mq) @ mp
+    assert np.allclose(materialize(q, s, p).matrix, want, atol=1e-14)
+    u = build_u2(3)
+    assert np.allclose(materialize(u, s).matrix,
+                       materialize(u).matrix @ materialize(s).matrix, atol=1e-12)
+
+
+def test_right_factor_on_another_layout_rejected():
+    # same dimension, so only the layout check can catch it
+    other = symmetry_projector(1, ancilla_layout(2), on_ancilla=True)
+    with pytest.raises(ValueError, match="different layout"):
+        materialize(build_u2(3), other)
+
+
 # -- dimension caps -------------------------------------------------------------
 
 def test_string_cap_enforced():
-    lay = matter_layout(STRING_SITE_LIMIT + 1)
+    lay = matter_layout(DENSE_SITE_LIMIT + 1)
     with pytest.raises(DimensionCapError):
         materialize(PauliString.single(lay, "X", 1))
 
 
 def test_circuit_cap_enforced():
     with pytest.raises(DimensionCapError):
-        materialize(build_u1(CIRCUIT_SITE_LIMIT + 1))
+        materialize(build_u1(DENSE_SITE_LIMIT + 1))
+
+
+def test_sum_cap_enforced_before_allocation():
+    h = build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2,
+                                    DENSE_SITE_LIMIT + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionCapError, match="dense limit"):
+            materialize(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # one matrix at this size is 1 GiB
 
 
 def test_eigensolve_limit_enforced_before_any_sweep():

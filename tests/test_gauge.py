@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import connected_components
 
+from conftest import (I2, X2, Z2, kron_chain, oracle_circuit_matrix,
+                      oracle_string_matrix)
 from wignerlab import gauge
+from wignerlab.clifford import build_u2, build_u_gauged
 from wignerlab.dense import (DenseOperator, hermitian_eigensolve, materialize,
                              random_state, transition_experiment)
 from wignerlab.gauge import (ancilla_sector_embedding, build_d_hat,
@@ -14,7 +17,8 @@ from wignerlab.gauge import (ancilla_sector_embedding, build_d_hat,
                              gauss_sector_projector, sector_blocks,
                              spectral_multiset_factor,
                              spectral_equivalence_check)
-from wignerlab.models import Family, ModelSpec, build_hamiltonian
+from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
+                              gauss_law_operators)
 from wignerlab.pauli import PauliString, ancilla_layout, symmetry_projector
 
 
@@ -53,6 +57,17 @@ def test_embed_state_dimension_check():
 
 
 # -- the non-invertible operators ----------------------------------------------
+
+@pytest.mark.parametrize("L", [2, 3])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_operators_match_oracle_circuit_times_projector(L, sign):
+    eta = kron_chain([X2] * L)
+    z_ancilla = kron_chain([I2] * L + [Z2])  # the ancilla is the top bit
+    for got, u, s in ((build_d_noninvertible(L, sign), build_u2(L), eta),
+                      (build_d_hat(L, sign), build_u_gauged(L), z_ancilla)):
+        want = oracle_circuit_matrix(u) @ (np.eye(len(s)) + sign * s) / 2
+        assert np.allclose(got.matrix, want, atol=1e-12)
+
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_matter_operator_square_and_rank(sign):
@@ -119,6 +134,15 @@ def test_gauss_projector_properties():
     assert np.linalg.norm(p - p.conj().T) < 1e-12
     h = materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, L)))
     assert np.linalg.norm(h.matrix @ p - p @ h.matrix) < 1e-10
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_gauss_projector_matches_oracle_product(L):
+    want = np.eye(1 << (2 * L), dtype=complex)
+    for g in gauss_law_operators(L):
+        ((c, p),) = g
+        want = want @ (np.eye(len(want)) + c * oracle_string_matrix(p)) / 2
+    assert np.allclose(gauss_sector_projector(L).matrix, want, atol=1e-12)
 
 
 def test_sector_blocks_reproduce_boundary_families():

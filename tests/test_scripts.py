@@ -1,0 +1,43 @@
+"""The two command-line scripts: a good run exits 0, bad arguments exit 2
+with a usage line and no traceback."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("name", ["run_full_suite.py", "spectrum_scan.py"])
+def test_script_runs_at_L2(name):
+    res = run_script(name, "2", "2")
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("L=2")
+
+
+@pytest.mark.parametrize("name,args", [
+    ("run_full_suite.py", ["x"]),
+    ("run_full_suite.py", ["1"]),
+    ("run_full_suite.py", ["5", "4"]),
+    ("run_full_suite.py", ["2", "2", "2"]),
+    ("spectrum_scan.py", ["2", "2", "x"]),
+    ("spectrum_scan.py", ["1", "2"]),
+    ("spectrum_scan.py", ["3", "2"]),
+    ("spectrum_scan.py", ["2", "2", "-1"]),
+    ("spectrum_scan.py", ["2", "2", "0"]),
+])
+def test_bad_arguments_exit_two(name, args):
+    res = run_script(name, *args)
+    assert res.returncode == 2
+    assert "usage:" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
