@@ -136,7 +136,7 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
         return [_skip("transition checks", why)]
     out = []
     d = build_d_noninvertible(L, sign)
-    basis0 = StateVector(np.eye(1 << L)[:, 0])
+    basis0 = StateVector(np.eye(1, 1 << L)[0])
     rep = transition_experiment(d, [(basis0, basis0)])
     measured = rep["pairs"][0]["p_transformed"]
     out.append(_check("counterexample |<0..0|P|0..0>|^2 = 0.25",

@@ -1,22 +1,26 @@
 """Clifford gates, duality circuits, and automorphism verification.
 
 Every gate is defined once, in ``rotation_factors``, as a global phase times
-quarter rotations ``exp(±i pi/4 A)`` about Hermitian Pauli strings, each of
-which conjugates a Pauli string by an exact rule.  A circuit stores its gates
-left to right as the operator product is written (the leftmost applied last)
-and flattens them once into one phase and one tuple of factors; ``g p g†``
-folds over the factors from the rightmost (innermost) outward.
+quarter rotations ``exp(±i pi/4 A)`` about Hermitian Pauli strings.  A
+circuit stores its gates left to right as the operator product is written
+(the leftmost applied last) and flattens them once into one phase and one
+tuple of factors.  On first use it compiles the factors into a stabilizer
+tableau, the images ``U g U†`` of every ``X_j`` and ``Z_j`` (Aaronson &
+Gottesman, quant-ph/0406196), and ``U p U†`` is then the product of the
+tableau rows that ``p``'s bits name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Union
 
+import numpy as np
+
 from .pauli import (HilbertLayout, PauliString, PauliSum, SiteRef,
-                    ancilla_layout, commutes, eta_string, format_layout,
-                    format_string, matter_layout, mul, parse_layout,
-                    parse_string)
+                    ancilla_layout, eta_string, format_layout, format_string,
+                    matter_layout, mul, parse_layout, parse_string, set_bits)
 
 
 @dataclass(frozen=True)
@@ -58,22 +62,14 @@ class QuarterRotation:
 CliffordGate = Union[ControlledX, ControlledZ, Swap, Hadamard, QuarterRotation]
 
 
-def _rot_conjugate(axis: PauliString, sign: int, p: PauliString) -> PauliString:
-    # exp(i s pi/4 A) p exp(-i s pi/4 A) = p if [A,p]=0 else (i s) A p
-    if commutes(axis, p):
-        return p
-    out = mul(axis, p)
-    return PauliString(out.layout, out.x_mask, out.z_mask,
-                       out.phase_exp + (1 if sign > 0 else 3))
-
-
 def rotation_factors(layout: HilbertLayout, g: CliffordGate):
     """``(s, ((A1, t1), (A2, t2), ...))`` with
     ``g = e^{i s pi/4} R(A1, t1) R(A2, t2) ...``, ``R(A, t) = exp(i t pi/4 A)``.
 
-    This is the one definition of every gate: symbolic conjugation folds the
-    factors and drops the global phase, the dense backend multiplies them and
-    keeps it.
+    This is the one definition of every gate: the tableau folds the factors
+    and drops the global phase, the dense backend multiplies them and keeps
+    it.  Conjugation by ``R(A, t)`` maps ``p`` to ``p`` if ``A`` and ``p``
+    commute and to ``(i t) A p`` if they anticommute.
     """
     single = lambda kind, site: PauliString.single(layout, kind, site)
     if isinstance(g, QuarterRotation):
@@ -115,15 +111,69 @@ class CliffordCircuit:
     def __len__(self) -> int:
         return len(self.gates)
 
+    @cached_property
+    def images(self) -> tuple[PauliString, ...]:
+        """The tableau: ``U g U†`` for ``g = X_0 .. X_{n-1}, Z_0 .. Z_{n-1}``
+        (bit order), compiled on first use."""
+        n = self.layout.total_sites
+        # bit-sliced: bit r of xs[j] / zs[j] is the X / Z bit at site j of
+        # row r, and row r carries the phase i^(p0_r + 2 p1_r)
+        xs = [1 << j for j in range(n)]
+        zs = [1 << (n + j) for j in range(n)]
+        p0 = p1 = 0
+        # U = R_1 R_2 ... R_k, so each row is conjugated by R_k first
+        for axis, sign in reversed(self.factors):
+            ax, az = list(set_bits(axis.x_mask)), list(set_bits(axis.z_mask))
+            # t: parity of |A.z & row.x|, the sign of moving A's Z past the
+            # row's X in the product A row
+            t = 0
+            for j in az:
+                t ^= xs[j]
+            anti = t
+            for j in ax:
+                anti ^= zs[j]
+            if not anti:
+                continue
+            # anticommuting rows become (i sign) A row
+            for j in ax:
+                xs[j] ^= anti
+            for j in az:
+                zs[j] ^= anti
+            d = (axis.phase_exp + (1 if sign > 0 else 3)) % 4
+            if d & 1:
+                p1 ^= p0 & anti
+                p0 ^= anti
+            if d & 2:
+                p1 ^= anti
+            p1 ^= t & anti
+        xrows, zrows = _transpose(xs, 2 * n), _transpose(zs, 2 * n)
+        return tuple(PauliString(self.layout, x, z,
+                                 (p0 >> r & 1) + 2 * (p1 >> r & 1))
+                     for r, (x, z) in enumerate(zip(xrows, zrows)))
+
+
+def _transpose(columns: list[int], n_rows: int) -> list[int]:
+    """Bit ``r`` of ``columns[j]`` is bit ``j`` of row ``r``; return the rows."""
+    nbytes = (n_rows + 7) // 8
+    packed = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in columns),
+                           dtype=np.uint8).reshape(len(columns), nbytes)
+    bits = np.unpackbits(packed, axis=1, count=n_rows, bitorder="little")
+    rows = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(r.tobytes(), "little") for r in rows]
+
 
 def conjugate_circuit(c: CliffordCircuit, p: PauliString) -> PauliString:
-    """``U p U†`` for the full ordered product."""
+    """``U p U†`` for the full ordered product, as a product of tableau rows."""
     if c.layout != p.layout:
         raise ValueError("circuit/operand layout mismatch")
-    # U p U† = R1 (R2 (... p ...) R2†) R1†: the rightmost factor acts first
-    for axis, sign in reversed(c.factors):
-        p = _rot_conjugate(axis, sign, p)
-    return p
+    # p = i^phase prod_j X_j^x_j prod_j Z_j^z_j, and conjugation is a homomorphism
+    rows, n = c.images, c.layout.total_sites
+    out = PauliString(p.layout, phase_exp=p.phase_exp)
+    for j in set_bits(p.x_mask):
+        out = mul(out, rows[j])
+    for j in set_bits(p.z_mask):
+        out = mul(out, rows[n + j])
+    return out
 
 
 def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
@@ -133,10 +183,8 @@ def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
 
 def conjugate_sum(c: CliffordCircuit, h: PauliSum) -> PauliSum:
     """``U h U†`` for a sum, term by term."""
-    out = PauliSum.zero(h.layout)
-    for coeff, p in h:
-        out = out + PauliSum.from_string(conjugate_circuit(c, p), coeff)
-    return out
+    return PauliSum.from_strings(
+        h.layout, ((coeff, conjugate_circuit(c, p)) for coeff, p in h))
 
 
 # ---------------------------------------------------------------------------

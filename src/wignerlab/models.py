@@ -52,16 +52,6 @@ def _link_label(j: int, L: int) -> str:
     return f"{2 * j + 1}/2" if j < L else "1/2"
 
 
-def _open_terms(layout: HilbertLayout, L: int) -> PauliSum:
-    h = PauliSum.zero(layout)
-    z = lambda j: PauliString.single(layout, "Z", j)
-    x = lambda j: PauliString.single(layout, "X", j)
-    for j in range(1, L):
-        h = h - PauliSum.from_string(mul(z(j), z(j + 1)))
-        h = h - PauliSum.from_string(x(j))
-    return h
-
-
 def build_hamiltonian(spec: ModelSpec) -> PauliSum:
     """Exact term list for the requested model family."""
     L = spec.L
@@ -69,30 +59,33 @@ def build_hamiltonian(spec: ModelSpec) -> PauliSum:
     z = lambda j: PauliString.single(layout, "Z", j)
     x = lambda j: PauliString.single(layout, "X", j)
 
+    terms = []
     if spec.family is Family.FULLY_GAUGED_HG:
-        h = PauliSum.zero(layout)
         for j in range(1, L + 1):
-            h = h - PauliSum.from_string(x(j))
             bond = mul(mul(z(j), PauliString.single(layout, "X", _link_label(j, L))),
                        z(j % L + 1))
-            h = h - PauliSum.from_string(bond)
-        return h
+            terms += [(-1, x(j)), (-1, bond)]
+        return PauliSum.from_strings(layout, terms)
 
-    h = _open_terms(layout, L)
+    for j in range(1, L):
+        terms += [(-1, mul(z(j), z(j + 1))), (-1, x(j))]
     if spec.family is Family.OPEN_H1:
-        return h
-    h = h - PauliSum.from_string(x(L))
+        return PauliSum.from_strings(layout, terms)
+    terms.append((-1, x(L)))
+    zz = mul(z(L), z(1))
     if spec.family is Family.SELF_DUAL_CLOSED_H2:
         # the eta-dressed boundary bond is itself a single Pauli string
-        return h - PauliSum.from_string(mul(eta_string(layout), mul(z(L), z(1))))
-    if spec.family is Family.PERIODIC_H_PLUS:
-        return h - PauliSum.from_string(mul(z(L), z(1)))
-    if spec.family is Family.ANTIPERIODIC_H_MINUS:
-        return h + PauliSum.from_string(mul(z(L), z(1)))
-    if spec.family is Family.MINIMAL_GAUGED_HG:
-        bond = mul(mul(z(L), PauliString.single(layout, "Z", "L+1")), z(1))
-        return h - PauliSum.from_string(bond)
-    raise ValueError(f"unknown family {spec.family}")
+        terms.append((-1, mul(eta_string(layout), zz)))
+    elif spec.family is Family.PERIODIC_H_PLUS:
+        terms.append((-1, zz))
+    elif spec.family is Family.ANTIPERIODIC_H_MINUS:
+        terms.append((1, zz))
+    elif spec.family is Family.MINIMAL_GAUGED_HG:
+        terms.append((-1, mul(mul(z(L), PauliString.single(layout, "Z", "L+1")),
+                              z(1))))
+    else:
+        raise ValueError(f"unknown family {spec.family}")
+    return PauliSum.from_strings(layout, terms)
 
 
 def eigensolve_hamiltonian(spec: ModelSpec) -> PauliSum:

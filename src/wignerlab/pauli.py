@@ -87,6 +87,14 @@ def link_layout(L: int) -> HilbertLayout:
     return HilbertLayout(L, tuple(f"{2 * j - 1}/2" for j in range(1, L + 1)))
 
 
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_layout(a: "PauliString | PauliSum", b: "PauliString | PauliSum") -> None:
     if a.layout != b.layout:
         raise LayoutMismatchError(f"layout mismatch: {a.layout} vs {b.layout}")
@@ -222,6 +230,19 @@ class PauliSum:
     def from_string(cls, p: PauliString, coeff: complex = 1.0) -> "PauliSum":
         return cls(p.layout, {(p.x_mask, p.z_mask): coeff * p.coefficient})
 
+    @classmethod
+    def from_strings(cls, layout: HilbertLayout,
+                     terms: Iterable[tuple[complex, PauliString]]) -> "PauliSum":
+        """``sum c p`` over ``(c, p)`` in ``terms``, collected in one dict."""
+        acc: dict[tuple[int, int], complex] = {}
+        for c, p in terms:
+            if p.layout != layout:
+                raise LayoutMismatchError(
+                    f"layout mismatch: {layout} vs {p.layout}")
+            key = (p.x_mask, p.z_mask)
+            acc[key] = acc.get(key, 0j) + c * p.coefficient
+        return cls(layout, acc)
+
     # -- inspection --------------------------------------------------------
 
     def __len__(self) -> int:
@@ -342,17 +363,11 @@ def _site_token(layout: HilbertLayout, bit: int) -> str:
 def format_string(p: PauliString) -> str:
     """Render e.g. ``(+1i^0) X1 Z3 | L=4, gauge=[]`` (Y-folded exponent)."""
     toks = []
-    n_y = 0
-    for bit in range(p.layout.total_sites):
-        x = (p.x_mask >> bit) & 1
-        z = (p.z_mask >> bit) & 1
-        if x and z:
-            toks.append("Y" + _site_token(p.layout, bit))
-            n_y += 1
-        elif x:
-            toks.append("X" + _site_token(p.layout, bit))
-        elif z:
-            toks.append("Z" + _site_token(p.layout, bit))
+    for bit in set_bits(p.x_mask | p.z_mask):
+        x, z = p.x_mask >> bit & 1, p.z_mask >> bit & 1
+        kind = "Y" if x and z else "X" if x else "Z"
+        toks.append(kind + _site_token(p.layout, bit))
+    n_y = (p.x_mask & p.z_mask).bit_count()
     exp = (p.phase_exp - n_y) % 4  # i^p X Z = i^(p-1) Y per Y site
     body = " ".join(toks) if toks else "I"
     return f"(+1i^{exp}) {body} | {format_layout(p.layout)}"
@@ -398,10 +413,9 @@ def format_sum(s: PauliSum) -> str:
 def parse_sum(text: str) -> PauliSum:
     header, *lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
     layout = parse_layout(header)
-    out = PauliSum.zero(layout)
+    terms = []
     for ln in lines:
         coeff_txt, body = ln.split("  ", 1)
-        c = complex(coeff_txt)
-        p = parse_string(f"{body} | {format_layout(layout)}")
-        out = out + PauliSum.from_string(p, c)
-    return out
+        terms.append((complex(coeff_txt),
+                      parse_string(f"{body} | {format_layout(layout)}")))
+    return PauliSum.from_strings(layout, terms)

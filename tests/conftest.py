@@ -12,7 +12,7 @@ from scipy.linalg import expm
 
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap)
-from wignerlab.pauli import PauliString
+from wignerlab.pauli import PauliString, commutes, mul
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -95,3 +95,15 @@ def oracle_circuit_matrix(c: CliffordCircuit) -> np.ndarray:
     for g in c.gates:
         u = u @ oracle_gate_matrix(c.layout, g)
     return u
+
+
+def fold_conjugate(c: CliffordCircuit, p: PauliString) -> PauliString:
+    """``U p U†`` folded over the circuit's quarter rotations, the rightmost
+    (innermost) first: ``exp(i s pi/4 A)`` maps ``p`` to ``p`` if ``[A, p] = 0``
+    and to ``(i s) A p`` otherwise."""
+    for axis, sign in reversed(c.factors):
+        if not commutes(axis, p):
+            q = mul(axis, p)
+            p = PauliString(q.layout, q.x_mask, q.z_mask,
+                            q.phase_exp + (1 if sign > 0 else 3))
+    return p

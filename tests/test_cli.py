@@ -160,6 +160,12 @@ def test_automorphism_scales_symbolically():
     assert run("verify-automorphism", "--circuit", "u2", "--L", "64").exit_code == 0
 
 
+@pytest.mark.parametrize("circuit", ["u1", "u2", "u-gauged"])
+def test_automorphism_at_L1024(circuit):
+    assert run("verify-automorphism", "--circuit", circuit,
+               "--L", "1024").exit_code == 0
+
+
 # -- spectrum extras --------------------------------------------------------------------
 
 def test_spectrum_eigenvalues_and_matrix_dump(tmp_path):

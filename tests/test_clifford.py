@@ -1,21 +1,26 @@
 """Symbolic Clifford conjugation checked gate-by-gate against dense unitary
-conjugation, plus the three duality-circuit generator tables."""
+conjugation and the compiled tableau against the per-string rotation fold,
+plus the three duality-circuit generator tables."""
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (oracle_circuit_matrix, oracle_gate_matrix,
-                      oracle_string_matrix)
+from conftest import (fold_conjugate, oracle_circuit_matrix,
+                      oracle_gate_matrix, oracle_string_matrix)
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap, build_u1,
                                 build_u2, build_u_gauged, conjugate_circuit,
-                                conjugate_gate, format_circuit, parse_circuit,
-                                phi1_table, phi2_table, phi_gauged_table,
-                                verify_automorphism)
+                                conjugate_gate, conjugate_sum, format_circuit,
+                                parse_circuit, phi1_table, phi2_table,
+                                phi_gauged_table, verify_automorphism)
 from wignerlab.dense import materialize
-from wignerlab.pauli import PauliString, ancilla_layout, matter_layout
+from wignerlab.models import Family, ModelSpec, build_hamiltonian
+from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout,
+                             link_layout, matter_layout)
 
 LAYOUT3 = matter_layout(3)
 
@@ -139,6 +144,80 @@ def test_second_duality_squares_into_bond_set():
         twice = conjugate_circuit(c, conjugate_circuit(c, src))
         assert twice.phase_free() in [s.phase_free() for s, _ in phi2_table(L).entries]
         assert twice.phase_exp in (0, 2)
+
+
+# -- compiled tableau ---------------------------------------------------------
+
+def random_strings(layout, seed, count=30):
+    rng = random.Random(seed)
+    n = layout.total_sites
+    return [PauliString(layout, rng.getrandbits(n), rng.getrandbits(n),
+                        rng.randrange(4)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("build", [build_u1, build_u2, build_u_gauged])
+@pytest.mark.parametrize("L", [2, 3, 5, 17, 64])
+def test_tableau_matches_fold(build, L):
+    c = build(L)
+    for p in random_strings(c.layout, seed=L):
+        assert conjugate_circuit(c, p) == fold_conjugate(c, p)
+
+
+def signed_hermitian_axes(layout):
+    full = layout.dim - 1
+    return st.builds(
+        lambda x, z, neg: PauliString(layout, x, z,
+                                      (x & z).bit_count() % 2 + 2 * neg),
+        st.integers(0, full), st.integers(0, full), st.integers(0, 1))
+
+
+@settings(max_examples=100)
+@given(data=st.data(),
+       layout=st.sampled_from([ancilla_layout(3), link_layout(3)]))
+def test_random_rotation_circuits_match_fold(data, layout):
+    rotations = data.draw(st.lists(
+        st.builds(QuarterRotation, signed_hermitian_axes(layout),
+                  st.sampled_from([1, -1])), max_size=12))
+    c = CliffordCircuit(layout, tuple(rotations))
+    for p in data.draw(st.lists(strings(layout), min_size=1, max_size=5)):
+        assert conjugate_circuit(c, p) == fold_conjugate(c, p)
+
+
+def bit_matrix(masks, n):
+    """Row r holds the low ``n`` bits of ``masks[r]``, bit 0 first."""
+    nbytes = (n + 7) // 8
+    raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks),
+                        dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(float)
+
+
+@pytest.mark.parametrize("build", [build_u1, build_u2, build_u_gauged])
+def test_compiled_images_are_symplectic(build):
+    # the images keep the commutation relations of X_0..X_{n-1}, Z_0..Z_{n-1}
+    # and stay Hermitian, so the table is an automorphism on its own terms
+    c = build(512)
+    n = c.layout.total_sites
+    x = bit_matrix([g.x_mask for g in c.images], n)
+    z = bit_matrix([g.z_mask for g in c.images], n)
+    gram = (x @ z.T + z @ x.T) % 2
+    zero, one = np.zeros((n, n)), np.eye(n)
+    assert np.array_equal(gram, np.block([[zero, one], [one, zero]]))
+    assert all(g.is_hermitian() for g in c.images)
+
+
+def test_conjugate_sum_matches_termwise_fold():
+    c = build_u2(6)
+    h = build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2, 6))
+    want = PauliSum.zero(h.layout)
+    for coeff, p in h:
+        want = want + PauliSum.from_string(fold_conjugate(c, p), coeff)
+    assert conjugate_sum(c, h).terms == want.terms
+
+
+def test_materialize_leaves_tableau_uncompiled():
+    c = build_u2(3)
+    materialize(c)
+    assert "images" not in vars(c)
 
 
 # -- text form ----------------------------------------------------------------

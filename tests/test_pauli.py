@@ -10,9 +10,9 @@ from conftest import oracle_string_matrix
 from wignerlab.clifford import parse_circuit
 from wignerlab.pauli import (HilbertLayout, LayoutMismatchError, PauliString,
                              PauliSum, ancilla_layout, commutes, eta_string,
-                             format_string, format_sum, link_layout,
-                             matter_layout, mul, parse_string, parse_sum,
-                             sum_commutator, symmetry_projector)
+                             format_layout, format_string, format_sum,
+                             link_layout, matter_layout, mul, parse_string,
+                             parse_sum, sum_commutator, symmetry_projector)
 
 LAYOUT3 = matter_layout(3)
 
@@ -200,6 +200,52 @@ def test_string_text_roundtrip(p):
 def test_sum_text_roundtrip(p, q, c):
     s = PauliSum.from_string(p, c) + PauliSum.from_string(q, 1.25)
     assert parse_sum(format_sum(s)) == s
+
+
+def per_site_format(p: PauliString) -> str:
+    """Reference rendering that visits every site of the layout."""
+    toks, n_y = [], 0
+    for bit in range(p.layout.total_sites):
+        x, z = (p.x_mask >> bit) & 1, (p.z_mask >> bit) & 1
+        site = p.layout.site_of(bit)
+        token = str(site) if isinstance(site, int) else f"[{site}]"
+        if x and z:
+            toks.append("Y" + token)
+            n_y += 1
+        elif x:
+            toks.append("X" + token)
+        elif z:
+            toks.append("Z" + token)
+    body = " ".join(toks) if toks else "I"
+    return f"(+1i^{(p.phase_exp - n_y) % 4}) {body} | {format_layout(p.layout)}"
+
+
+@settings(max_examples=200)
+@given(data=st.data(),
+       make=st.sampled_from([matter_layout, ancilla_layout, link_layout]),
+       n=st.integers(1, 40))
+def test_format_string_matches_per_site_loop(data, make, n):
+    p = data.draw(strings(make(n)))
+    assert format_string(p) == per_site_format(p)
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_from_strings_equals_sequential_sum(data):
+    # integer coefficients keep the arithmetic exact, so the one-dict
+    # accumulation must match term for term, cancellations included
+    terms = data.draw(st.lists(st.tuples(
+        st.builds(complex, st.integers(-3, 3), st.integers(-3, 3)),
+        strings()), max_size=12))
+    want = PauliSum.zero(LAYOUT3)
+    for c, p in terms:
+        want = want + PauliSum.from_string(p, c)
+    assert PauliSum.from_strings(LAYOUT3, terms).terms == want.terms
+
+
+def test_from_strings_rejects_other_layout():
+    with pytest.raises(LayoutMismatchError):
+        PauliSum.from_strings(LAYOUT3, [(1, eta_string(matter_layout(2)))])
 
 
 def test_parse_rejects_malformed():
