@@ -1,17 +1,22 @@
 """Dense complex-matrix materialization, eigensolving, and state experiments.
 
 A Pauli string is a signed permutation of basis states: a string or sum is
-scattered into one matrix, a circuit is built from the identity by one
-O(dim^2) column update per quarter rotation, and a string or sum multiplied on
-the right is one O(dim^2) column gather per term.  The Hermitian eigensolver
-is cyclic Jacobi on each connected component of the exact nonzero pattern, so
-a matrix in a basis that diagonalizes its symmetries is solved sector by
-sector.  An ``antilinear`` operator acts as ``M . K`` (conjugation first).
+scattered into one matrix.  A circuit is built in place from a scaled
+identity: each quarter rotation ``I + i t A`` adds ``A``'s values times a
+strided, flipped view of the matrix (no gather), using one scratch matrix
+for the whole circuit, and a run of diagonal rotations is fused into one
+column scaling.  A string or sum multiplied on the right is applied the same
+way, its terms grouped by X mask.  The Hermitian eigensolver is cyclic Jacobi
+on each connected component of the exact nonzero pattern, so a matrix in a
+basis that diagonalizes its symmetries is solved sector by sector.  An
+``antilinear`` operator acts as ``M . K`` (conjugation first).  The binary
+dump writes and reads the matrix's own bytes, without a copy.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordCircuit
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, set_bits
 
 TAU_UNIT = 1e-10
 TAU_EIG_PER_DIM = 1e-9
@@ -121,16 +126,54 @@ class SpectrumResult:
 # materialization
 # ---------------------------------------------------------------------------
 
-def _signed_permutation(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows, values)`` with ``p|c> = values[c] |rows[c]>``."""
-    cols = np.arange(p.layout.dim)
+def _values(p: PauliString, cols: np.ndarray) -> np.ndarray:
+    """``values`` with ``p|c> = values[c] |c ^ x_mask>``."""
     # Z acts first in the per-site X·Z order
     signs = 1 - 2 * (np.bitwise_count(cols & p.z_mask) & 1).astype(np.int64)
-    return cols ^ p.x_mask, (1j ** p.phase_exp) * signs
+    return (1j ** p.phase_exp) * signs
 
 
 def _terms(obj: PauliString | PauliSum) -> PauliSum:
     return PauliSum.from_string(obj) if isinstance(obj, PauliString) else obj
+
+
+def _flipped(m: np.ndarray, x_mask: int) -> np.ndarray:
+    """Strided view of ``m``, its columns split into one size-2 axis per
+    bit (most significant first, as in C order), whose column ``c`` is
+    column ``c ^ x_mask``.
+
+    Reversing the axes of ``x_mask``'s set bits XORs the index without a
+    gather; numpy's iterator merges each run of the other axes into one.
+    """
+    n = (m.shape[1] - 1).bit_length()
+    return np.flip(m.reshape(m.shape[0], *(2,) * n),
+                   axis=[n - b for b in set_bits(x_mask)])
+
+
+def _times_sum(m: np.ndarray, scratch: np.ndarray | None,
+               diag: np.ndarray | None, off: dict[int, np.ndarray]
+               ) -> np.ndarray | None:
+    """``m <- m (diag + sum_x off[x] X^x)`` in place, where ``diag`` scales
+    columns (None is the identity) and ``X^x`` maps column ``c`` to
+    ``c ^ x``: column ``c`` of the product is ``diag[c] m[:, c] +
+    sum_x off[x][c] m[:, c ^ x]``.  Returns the scratch buffer, ``m``'s
+    shape, allocated on first need and reused by the caller."""
+    if off:
+        if scratch is None:
+            scratch = np.empty_like(m)
+        (x, v), *rest = off.items()
+        f = _flipped(m, x)
+        np.multiply(f, v.reshape(f.shape[1:]), out=scratch.reshape(f.shape))
+        for x, v in rest:  # row by row, so no dim x dim temporary
+            f = _flipped(m, x)
+            v = v.reshape(f.shape[1:])
+            for out, row in zip(scratch.reshape(f.shape), f):
+                out += row * v
+    if diag is not None:
+        np.multiply(m, diag, out=m)
+    if off:
+        m += scratch
+    return scratch
 
 
 def materialize(obj: PauliString | PauliSum | CliffordCircuit,
@@ -138,32 +181,42 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
     """Explicit complex matrix of a string, sum, or circuit, times each string
     or sum in ``right``, taken left to right.
 
-    Column ``c`` of ``m A`` is ``values[c]`` times column ``rows[c]`` of
-    ``m``: a circuit right-multiplies the identity by each quarter rotation
-    ``(I + i t A)/sqrt(2)``, and each term of a right factor is one gather.
+    A string or sum is scattered into a zero matrix.  A circuit starts from
+    its global phase and ``2^(-k/2)`` for its ``k`` quarter rotations times
+    the identity and is multiplied on the right, in place, by each rotation
+    ``I + i t A``; a run of diagonal rotations is fused into one column
+    scaling.  Each right factor is grouped by X mask and applied in place
+    the same way.
     """
     if any(factor.layout != obj.layout for factor in right):
         raise ValueError("right factor is on a different layout")
     check_limit(obj.layout.total_sites, "dense")
     dim = obj.layout.dim
+    cols = np.arange(dim)
+    m = np.zeros((dim, dim), dtype=complex)
+    scratch = None
     if isinstance(obj, CliffordCircuit):
-        m = np.eye(dim, dtype=complex)
+        np.fill_diagonal(m, np.exp(obj.phase * 1j * math.pi / 4)
+                         * 2.0 ** (-len(obj.factors) / 2))
+        diag = None  # product of the pending run of diagonal rotations
         for axis, sign in obj.factors:  # leftmost factor first in the product
-            rows, values = _signed_permutation(axis)
-            m = (m + (1j * sign) * values * m[:, rows]) / math.sqrt(2.0)
-        m = np.exp(obj.phase * 1j * math.pi / 4) * m
+            v = (1j * sign) * _values(axis, cols)
+            if not axis.x_mask:
+                diag = 1 + v if diag is None else diag * (1 + v)
+                continue
+            if diag is not None:  # m D (I + v X^x) = m (D + (v D[c ^ x]) X^x)
+                v *= diag[cols ^ axis.x_mask]
+            scratch = _times_sum(m, scratch, diag, {axis.x_mask: v})
+            diag = None
+        _times_sum(m, scratch, diag, {})
     else:
-        cols = np.arange(dim)
-        m = np.zeros((dim, dim), dtype=complex)
         for c, p in _terms(obj):
-            rows, values = _signed_permutation(p)
-            m[rows, cols] += c * values
+            m[cols ^ p.x_mask, cols] += c * _values(p, cols)
     for factor in right:
-        out = np.zeros_like(m)
+        groups: dict[int, np.ndarray] = {}
         for c, p in _terms(factor):
-            rows, values = _signed_permutation(p)
-            out += (c * values) * m[:, rows]
-        m = out
+            groups[p.x_mask] = groups.get(p.x_mask, 0) + c * _values(p, cols)
+        scratch = _times_sum(m, scratch, groups.pop(0, np.zeros(dim)), groups)
     return DenseOperator(m)
 
 
@@ -310,33 +363,32 @@ _MAGIC = b"WLDENSE1"
 
 
 def write_dense_binary(path: str, m: np.ndarray) -> None:
-    """Little-endian interleaved re/im doubles after a 16-byte header."""
-    m = np.asarray(m, dtype=complex)
-    dim = m.shape[0]
-    inter = np.empty(m.size * 2, dtype="<f8")
-    flat = m.reshape(-1)
-    inter[0::2] = flat.real
-    inter[1::2] = flat.imag
+    """Little-endian interleaved re/im doubles after a 16-byte header: the
+    bytes of a C-ordered ``<c16`` array, written without a copy when ``m``
+    already is one."""
+    m = np.ascontiguousarray(m, "<c16")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<II", dim, m.shape[1] if m.ndim == 2 else 1))
-        fh.write(inter.tobytes())
+        fh.write(_MAGIC + struct.pack("<II", m.shape[0], m.shape[1] if m.ndim == 2 else 1))
+        fh.write(memoryview(m))
 
 
 def read_dense_binary(path: str) -> np.ndarray:
-    """Read a ``write_dense_binary`` dump; the file length must match its
-    header exactly."""
+    """Read a ``write_dense_binary`` dump bit for bit into a new writeable
+    array; the file length must match its header exactly."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) < 16 or header[:8] != _MAGIC:
             raise ValueError("bad magic or truncated header")
         rows, cols = struct.unpack("<II", header[8:])
-        body = fh.read()
-    if len(body) != rows * cols * 16:
-        raise ValueError(f"file length {16 + len(body)} does not match the "
-                         f"{rows}x{cols} header ({16 + rows * cols * 16})")
-    inter = np.frombuffer(body, dtype="<f8")
-    flat = inter[0::2] + 1j * inter[1::2]
-    return flat.reshape(rows, cols)
+        size = os.fstat(fh.fileno()).st_size
+        if size != 16 + rows * cols * 16:
+            raise ValueError(f"file length {size} does not match the "
+                             f"{rows}x{cols} header ({16 + rows * cols * 16})")
+        m = np.empty((rows, cols), dtype="<c16")
+        if fh.readinto(m) != m.nbytes or fh.read(1):
+            raise ValueError(f"file length changed while reading the "
+                             f"{rows}x{cols} header's payload")
+    return m
 
 
 def write_dense_csv(path: str, m: np.ndarray) -> None:

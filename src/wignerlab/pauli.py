@@ -108,8 +108,7 @@ class PauliString:
     phase_exp: int = 0  # overall factor i**phase_exp, mod 4
 
     def __post_init__(self) -> None:
-        full = self.layout.dim - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+        if (self.x_mask | self.z_mask) >> self.layout.total_sites:
             raise ValueError("mask extends past the layout")
         object.__setattr__(self, "phase_exp", self.phase_exp % 4)
 

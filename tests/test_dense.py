@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 from scipy.sparse.csgraph import connected_components
 
-from conftest import oracle_string_matrix
+from conftest import oracle_circuit_matrix, oracle_string_matrix
 from wignerlab import dense
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap, build_u1,
@@ -24,9 +24,10 @@ from wignerlab.dense import (DENSE_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
                              read_dense_binary, read_dense_csv,
                              transition_experiment, write_dense_binary,
                              write_dense_csv)
+from wignerlab.gauge import build_d_hat, build_d_noninvertible
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
 from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout, eta_string,
-                             matter_layout, symmetry_projector)
+                             link_layout, matter_layout, symmetry_projector)
 
 LAYOUT3 = matter_layout(3)
 
@@ -112,6 +113,96 @@ def test_right_factors_multiply_left_to_right():
     u = build_u2(3)
     assert np.allclose(materialize(u, s).matrix,
                        materialize(u).matrix @ materialize(s).matrix, atol=1e-12)
+
+
+def oracle_sum_matrix(s: PauliSum) -> np.ndarray:
+    return sum(c * oracle_string_matrix(p) for c, p in s)
+
+
+def rotations(layout):
+    """Quarter rotations about signed Hermitian axes whose X masks are
+    often multi-bit, non-adjacent and hold the top site."""
+    full, top = layout.dim - 1, layout.dim >> 1
+
+    def axis(x, with_top, z, neg):
+        x |= top if with_top else 0
+        return PauliString(layout, x, z, (x & z).bit_count() % 2 + 2 * neg)
+    axes = st.builds(axis, st.integers(0, full), st.booleans(),
+                     st.integers(0, full), st.integers(0, 1))
+    return st.builds(QuarterRotation, axes, st.sampled_from([1, -1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       layout=st.sampled_from([matter_layout(6), matter_layout(4),
+                               ancilla_layout(5), ancilla_layout(2),
+                               link_layout(3), link_layout(2)]))
+def test_random_rotation_circuits_match_oracle(data, layout):
+    # every flip pattern, diagonal runs and the global phase, against the
+    # product of expm(i t pi/4 A) built from kron chains
+    gates = data.draw(st.lists(rotations(layout), max_size=10))
+    c = CliffordCircuit(layout, tuple(gates))
+    got = materialize(c).matrix
+    assert np.max(np.abs(got - oracle_circuit_matrix(c)), initial=0) < 1e-12
+
+
+@pytest.mark.parametrize("layout", [matter_layout(5), ancilla_layout(4),
+                                    link_layout(3)], ids=str)
+def test_right_factors_with_shared_x_masks_match_oracle(layout):
+    # several terms per X mask, with and without diagonal terms, one and
+    # several off-diagonal masks
+    n, rng = layout.total_sites, np.random.default_rng(7)
+    top = 1 << (n - 1)
+    u = CliffordCircuit(layout, (Hadamard(1), ControlledX(2, 1), Swap(1, 3)))
+    for masks in ([top | 1], [0], [0, top | 1], [top | 1, 0b101 << (n - 3)],
+                  [0, top | 1, 0b101 << (n - 3), 0b10]):
+        terms = [(complex(*rng.normal(size=2)),
+                  PauliString(layout, x, int(rng.integers(layout.dim)),
+                              int(rng.integers(4))))
+                 for x in masks for _ in range(3)]
+        s = PauliSum.from_strings(layout, terms)
+        assert sorted({p.x_mask for _, p in s}) == sorted(masks)
+        want_s = oracle_sum_matrix(s)
+        for left, want_left in ((u, oracle_circuit_matrix(u)),
+                                (terms[1][1], oracle_string_matrix(terms[1][1])),
+                                (s, want_s)):
+            got = materialize(left, s, s).matrix
+            assert np.allclose(got, want_left @ want_s @ want_s, atol=1e-12)
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_d_operators_equal_circuit_times_projector(L, sign):
+    p = symmetry_projector(sign, matter_layout(L))
+    d = build_d_noninvertible(L, sign)
+    assert not d.antilinear
+    for want in (oracle_circuit_matrix(build_u2(L)) @ oracle_sum_matrix(p),
+                 materialize(build_u2(L)).matrix @ materialize(p).matrix):
+        assert np.allclose(d.matrix, want, atol=1e-13)
+    q = symmetry_projector(sign, ancilla_layout(L), on_ancilla=True)
+    u = build_u_gauged(L)
+    for antilinear in (False, True):
+        d_hat = build_d_hat(L, sign, antilinear)
+        assert d_hat.antilinear == antilinear
+        for want in (oracle_circuit_matrix(u) @ oracle_sum_matrix(q),
+                     materialize(u).matrix @ materialize(q).matrix):
+            assert np.allclose(d_hat.matrix, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: materialize(build_u1(9)),
+    lambda: build_d_noninvertible(9, 1), lambda: build_d_noninvertible(9, -1),
+    lambda: build_d_hat(8, 1), lambda: build_d_hat(8, -1)],
+    ids=["u1-9", "d+9", "d-9", "d_hat+8", "d_hat-8"])
+def test_materialize_peak_is_result_and_one_scratch(make):
+    # the result and one scratch matrix, plus numpy's fixed ufunc buffers
+    tracemalloc.start()
+    try:
+        op = make()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * op.matrix.nbytes
 
 
 def test_right_factor_on_another_layout_rejected():
@@ -305,6 +396,39 @@ def test_binary_dump_roundtrip(tmp_path):
     write_dense_binary(path, m)
     assert np.array_equal(read_dense_binary(path), m)
     assert path.read_bytes()[:8] == b"WLDENSE1"
+
+
+def test_binary_dump_roundtrip_is_bit_exact(tmp_path):
+    bits = np.array([0x8000000000000000, 0x3FF0000000000000,   # -0.0, 1.0
+                     0x0000000000000000, 0x7FF0000000000000,   # 0.0, inf
+                     0xFFF0000000000000, 0x7FF8000000000001,   # -inf, quiet nan
+                     0xFFF8000000000abc, 0x7FF0000000000001,   # payloads, signalling
+                     0x0000000000000001, 0x8000000000000000],  # denormal, -0.0
+                    dtype=np.uint64)
+    m = bits.view(np.complex128).reshape(5, 1)
+    path = tmp_path / "m.bin"
+    for shape in ((5, 1), (1, 5)):
+        write_dense_binary(path, m.reshape(shape))
+        got = read_dense_binary(path)
+        assert got.shape == shape and got.flags.writeable
+        assert np.array_equal(got.view(np.uint64), m.reshape(shape).view(np.uint64))
+    write_dense_binary(path, m.reshape(-1))  # a vector is one column
+    assert read_dense_binary(path).shape == (5, 1)
+
+
+def test_binary_dump_golden_bytes(tmp_path):
+    m = np.array([[1 + 2j, complex(-0.0, -1.0)], [0.5, complex(0, np.inf)]])
+    golden = bytes.fromhex(
+        "574c44454e534531" "02000000" "02000000"      # WLDENSE1, rows, cols
+        "000000000000f03f" "0000000000000040"         # 1 + 2j
+        "0000000000000080" "000000000000f0bf"         # -0 - 1j
+        "000000000000e03f" "0000000000000000"         # 0.5 + 0j
+        "0000000000000000" "000000000000f07f")        # 0 + inf j
+    path = tmp_path / "m.bin"
+    write_dense_binary(path, m)
+    assert path.read_bytes() == golden
+    got = read_dense_binary(path)
+    assert np.array_equal(got.view(np.uint64), m.view(np.uint64))
 
 
 def test_csv_dump_roundtrip(tmp_path):

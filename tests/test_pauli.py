@@ -59,6 +59,12 @@ def test_layout_mismatch_raises():
 def test_mask_outside_layout_rejected():
     with pytest.raises(ValueError):
         PauliString(matter_layout(2), x_mask=4)
+    for lay in (matter_layout(2), ancilla_layout(3), matter_layout(130)):
+        top = 1 << (lay.total_sites - 1)
+        PauliString(lay, top | 1, top)  # the highest site is inside
+        for x, z in ((top << 1, 0), (0, top << 1), (-1, 0), (0, -1), (-top, top)):
+            with pytest.raises(ValueError, match="past the layout"):
+                PauliString(lay, x, z)
 
 
 # -- single strings ----------------------------------------------------------
