@@ -35,25 +35,25 @@ class PolarFactors:
 
 def _complete_kernel(w: np.ndarray, n_range: int) -> np.ndarray:
     """Fill kernel columns by Gram-Schmidt of standard basis vectors against
-    the range columns, in index order, with a re-orthogonalization pass."""
+    the accepted columns, in index order: each candidate is orthogonalized
+    against all of them at once, twice, and kept if its norm exceeds 1e-8."""
     n = w.shape[0]
-    cols = [w[:, i] for i in range(n_range)]
+    out = w.copy()
+    k = n_range
     for idx in range(n):
-        if len(cols) == n:
+        if k == n:
             break
         cand = np.zeros(n, dtype=complex)
         cand[idx] = 1.0
+        q = out[:, :k]
         for _ in range(2):  # re-orthogonalize once
-            for c in cols:
-                cand = cand - np.vdot(c, cand) * c
+            cand -= q @ (cand.conj() @ q).conj()
         nrm = np.linalg.norm(cand)
         if nrm > 1e-8:
-            cols.append(cand / nrm)
-    if len(cols) != n:
+            out[:, k] = cand / nrm
+            k += 1
+    if k != n:
         raise RuntimeError("kernel completion failed")
-    out = w.copy()
-    for i, c in enumerate(cols[n_range:], start=n_range):
-        out[:, i] = c
     return out
 
 

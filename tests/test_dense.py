@@ -25,7 +25,8 @@ from wignerlab.dense import (DENSE_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
                              transition_experiment, write_dense_binary,
                              write_dense_csv)
 from wignerlab.gauge import build_d_hat, build_d_noninvertible
-from wignerlab.models import Family, ModelSpec, build_hamiltonian
+from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
+                              eigensolve_hamiltonian)
 from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout, eta_string,
                              link_layout, matter_layout, symmetry_projector)
 
@@ -298,6 +299,10 @@ def test_eigensolver_on_permuted_blocks_vs_lapack():
     m = m[np.ix_(perm, perm)]
     res = hermitian_eigensolve(m)
     assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
+    # _blocks order: by smallest index after the permutation
+    first = {np.flatnonzero((perm >= lo) & (perm < lo + n))[0]: n
+             for lo, n in ((0, 5), (5, 9), (14, 3))}
+    assert res.block_sizes == tuple(first[k] for k in sorted(first))
     v = res.eigenvectors
     assert np.linalg.norm(v.conj().T @ v - np.eye(17)) < 1e-12
     assert np.linalg.norm((v * res.eigenvalues) @ v.conj().T - m) < 1e-12
@@ -329,6 +334,101 @@ def test_sweep_cap_applies_to_each_block():
     with pytest.raises(ConvergenceError):
         hermitian_eigensolve(m, sweep_cap=0)
     assert hermitian_eigensolve(np.diag([1.0, 2.0]), sweep_cap=0).sweeps == 0
+
+
+def test_convergence_error_names_block_size_misses_and_worst_norm():
+    # a stack of three 2x2 blocks, one already below its target
+    m = block_diag([[0.0, 1.0], [1.0, 0.0]], [[1.0, 1e-20], [1e-20, 2.0]],
+                   [[0.0, 3.0], [3.0, 0.0]])
+    with pytest.raises(ConvergenceError,
+                       match=r"2 of 3 blocks of size 2 .* norm 4\.243e\+00"):
+        hermitian_eigensolve(m, sweep_cap=0)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_round_robin_schedule_covers_each_pair_once(n):
+    p, q = dense._rounds(n)
+    assert p.shape == q.shape == (n - 1 + (n & 1), n // 2)
+    assert np.all(p < q) and np.all(q < n)
+    for rp, rq in zip(p, q):  # disjoint pairs within a round
+        assert len(set(rp.tolist()) | set(rq.tolist())) == 2 * len(rp)
+    pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
+    assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("n", range(1, 34))
+def test_eigensolver_every_size_vs_lapack(n):
+    m = _random_hermitian(np.random.default_rng(100 + n), n)
+    res = hermitian_eigensolve(m)
+    v = res.eigenvectors
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-12
+    assert np.linalg.norm((v * res.eigenvalues) @ v.conj().T - m) < 1e-12
+    assert res.block_sizes == (n,)
+
+
+def test_stack_solve_equals_block_by_block():
+    rng = np.random.default_rng(17)
+    stack = np.stack([_random_hermitian(rng, 9) for _ in range(6)])
+    stack[2] *= 1e-3  # converges in another number of sweeps
+    vals, vecs, sweeps = dense._jacobi(stack, 100)
+    alone = [dense._jacobi(block[None], 100) for block in stack]
+    for k, (val, vec, _) in enumerate(alone):
+        assert np.max(np.abs(vals[k] - val[0])) < 1e-12
+        assert np.max(np.abs(vecs[k] - vec[0])) < 1e-12
+    assert sweeps == max(s for _, _, s in alone)
+
+
+def test_converged_block_leaves_the_stack(monkeypatch):
+    rng = np.random.default_rng(23)
+    near_diag = np.diag(np.arange(6.0)).astype(complex)
+    near_diag[0, 1] = near_diag[1, 0] = 1e-9  # one sweep reaches the target
+    stack = np.stack([near_diag, _random_hermitian(rng, 6)])
+    sizes = []
+    rotate = dense._rotate
+    monkeypatch.setattr(dense, "_rotate",
+                        lambda av, *rest: sizes.append(len(av)) or rotate(av, *rest))
+    _, _, sweeps = dense._jacobi(stack, 100)
+    rounds = len(dense._rounds(6)[0])
+    assert sweeps > 2 and sizes == [2] * rounds + [1] * (sweeps - 1) * rounds
+
+
+def test_diagonal_block_in_stack_is_exact():
+    rng = np.random.default_rng(3)
+    diag = np.diag([2.0, -1.0, 2.0, 0.5, -3.0]).astype(complex)
+    # only the pair (3, 4) is coupled: every other pair takes the skip path
+    sparse = np.diag([1.0, -2.0, 4.0, 0.0, 0.0]).astype(complex)
+    sparse[3:, 3:] = _random_hermitian(rng, 2)
+    stack = np.stack([diag, _random_hermitian(rng, 5), sparse])
+    vals, vecs, _ = dense._jacobi(stack, 100)
+    assert np.array_equal(vals[0], np.diag(diag).real)
+    assert np.array_equal(vecs[0], np.eye(5))
+    assert np.array_equal(vals[2, :3], [1.0, -2.0, 4.0])
+    assert np.array_equal(vecs[2][:, :3], np.eye(5)[:, :3])
+
+
+def test_blocks_far_apart_in_scale_meet_their_own_targets():
+    rng = np.random.default_rng(29)
+    stack = np.stack([1e6 * _random_hermitian(rng, 8),
+                      1e-6 * _random_hermitian(rng, 8)])
+    vals, vecs, _ = dense._jacobi(stack, 100)
+    for block, val, vec in zip(stack, vals, vecs):
+        scale = np.linalg.norm(block)
+        assert np.max(np.abs(np.sort(val) - np.linalg.eigvalsh(block))) < 1e-13 * scale
+        assert np.linalg.norm((vec * val) @ vec.conj().T - block) < 1e-13 * scale
+
+
+def test_rotated_h_full_is_one_stack(monkeypatch):
+    calls = []
+    jacobi = dense._jacobi
+    monkeypatch.setattr(dense, "_jacobi",
+                        lambda stack, cap: calls.append(stack.shape) or jacobi(stack, cap))
+    h = eigensolve_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, 4))
+    res = hermitian_eigensolve(materialize(h))
+    assert calls == [(16, 16, 16)]
+    assert res.block_sizes == (16,) * 16
+    m = materialize(h).matrix
+    assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
 
 
 def test_eigensolver_rejects_non_hermitian():

@@ -51,6 +51,39 @@ def test_svd_rejects_non_square():
         svd(np.zeros((2, 3)))
 
 
+def _loop_complete_kernel(w, n_range):
+    """Column-by-column Gram-Schmidt kernel completion: the oracle."""
+    n = w.shape[0]
+    cols = [w[:, i] for i in range(n_range)]
+    for idx in range(n):
+        if len(cols) == n:
+            break
+        cand = np.zeros(n, dtype=complex)
+        cand[idx] = 1.0
+        for _ in range(2):  # re-orthogonalize once
+            for c in cols:
+                cand = cand - np.vdot(c, cand) * c
+        nrm = np.linalg.norm(cand)
+        if nrm > 1e-8:
+            cols.append(cand / nrm)
+    assert len(cols) == n
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("L", range(2, 7))
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("build", [build_d_hat, build_d_noninvertible])
+def test_kernel_completion_matches_column_loop(build, sign, L):
+    res = svd(build(L, sign).matrix)
+    w, r = res.w, res.rank
+    assert 0 < r < w.shape[0]
+    assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0])) < 1e-12
+    assert np.max(np.abs(w[:, :r].conj().T @ w[:, r:])) < 1e-12
+    oracle = _loop_complete_kernel(w[:, :r], r)
+    vh = res.v.conj().T
+    assert np.max(np.abs(w @ vh - oracle @ vh)) < 1e-12
+
+
 # -- polar decomposition ------------------------------------------------------------
 
 def test_polar_reconstruction_on_200_random_matrices():
