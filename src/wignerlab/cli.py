@@ -113,8 +113,8 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
         if flip_boundary and sign == 1:
             fam = Family.ANTIPERIODIC_H_MINUS  # injected fault
         h = materialize(build_hamiltonian(ModelSpec(fam, L)))
-        conserved(f"[H{s}, D{s}]", h, build_d_noninvertible(L, sign))
-        conserved(f"[H_G, D_hat{s}]", hg, build_d_hat(L, sign))
+        conserved(f"[H{s}, D{s}]", h, build_d_noninvertible(L, sign, u2))
+        conserved(f"[H_G, D_hat{s}]", hg, build_d_hat(L, sign, ug=ug))
         out.append(_check(f"[H{s}, U2] nonzero", _comm_norm(h, u2), 0.1,
                           above=True))
     return out
@@ -167,18 +167,18 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
 
 
 def polar_checks(L: int, sign: int, seed: int, tol_scale: float = 1.0) -> list[dict]:
-    from .polar import corollary_check, polar_decompose, verify_theorem_structure
+    from .polar import corollary_check, polar_decompose_all, verify_theorem_structure
     why = over_limit(L + 1, "eigensolve")
     if why:
         return [_skip("polar checks", why)]
     out = []
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    mats = []
     for _ in range(20):
         n = int(rng.integers(2, 17))
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        f = polar_decompose(m)
-        worst = max(worst, _frob(f.unitary_part.matrix @ f.psd_part.matrix - m))
+        mats.append(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    worst = max(_frob(f.unitary_part.matrix @ f.psd_part.matrix - m)
+                for f, m in zip(polar_decompose_all(mats), mats))
     out.append(_check("polar reconstruction on random matrices", worst,
                       1e-9 * tol_scale))
 

@@ -6,11 +6,11 @@ identity: each quarter rotation ``I + i t A`` adds ``A``'s values times a
 strided, flipped view of the matrix (no gather), using one scratch matrix
 for the whole circuit, and a run of diagonal rotations is fused into one
 column scaling.  A string or sum multiplied on the right is applied the same
-way, its terms grouped by X mask.  The Hermitian eigensolver splits a matrix
-into the connected components of its exact nonzero pattern, so a matrix in a
-basis that diagonalizes its symmetries is solved sector by sector, and solves
-the components of each size as one stack by round-robin Jacobi: each round
-rotates a set of disjoint pairs in every block at once.  An
+way, its terms grouped by X mask.  The Hermitian eigensolver splits matrices
+into the connected components of their exact nonzero patterns, so a matrix
+in a basis that diagonalizes its symmetries is solved sector by sector, and
+solves each size class of components as one zero-padded stack by round-robin
+Jacobi, each round rotating disjoint pairs in every block at once.  An
 ``antilinear`` operator acts as ``M . K`` (conjugation first).  The binary
 dump writes and reads the matrix's own bytes, without a copy.
 """
@@ -179,24 +179,28 @@ def _times_sum(m: np.ndarray, scratch: np.ndarray | None,
     return scratch
 
 
-def materialize(obj: PauliString | PauliSum | CliffordCircuit,
+def materialize(obj: PauliString | PauliSum | CliffordCircuit | DenseOperator,
                 *right: PauliString | PauliSum) -> DenseOperator:
-    """Explicit complex matrix of a string, sum, or circuit, times each string
-    or sum in ``right``, taken left to right.
+    """Explicit complex matrix of a string, sum, circuit or linear dense
+    operator (copied), times each string or sum in ``right``, left to right.
 
     A string or sum is scattered into a zero matrix.  A circuit starts from
     its global phase and ``2^(-k/2)`` for its ``k`` quarter rotations times
     the identity and is multiplied on the right, in place, by each rotation
     ``I + i t A``; a run of diagonal rotations is fused into one column
     scaling.  Each right factor is grouped by X mask and applied in place
-    the same way.
+    the same way.  A dense operator takes its layout from ``right``.
     """
-    if any(factor.layout != obj.layout for factor in right):
+    dense_left = isinstance(obj, DenseOperator)
+    if dense_left and (obj.antilinear or not right or right[0].layout.dim != obj.dim):
+        raise ValueError("left operand must be linear with right factors of its dimension")
+    layout = right[0].layout if dense_left else obj.layout
+    if any(factor.layout != layout for factor in right):
         raise ValueError("right factor is on a different layout")
-    check_limit(obj.layout.total_sites, "dense")
-    dim = obj.layout.dim
+    check_limit(layout.total_sites, "dense")
+    dim = layout.dim
     cols = np.arange(dim)
-    m = np.zeros((dim, dim), dtype=complex)
+    m = obj.matrix.copy() if dense_left else np.zeros((dim, dim), dtype=complex)
     scratch = None
     if isinstance(obj, CliffordCircuit):
         np.fill_diagonal(m, np.exp(obj.phase * 1j * math.pi / 4)
@@ -212,7 +216,7 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
             scratch = _times_sum(m, scratch, diag, {axis.x_mask: v})
             diag = None
         _times_sum(m, scratch, diag, {})
-    else:
+    elif not dense_left:
         for c, p in _terms(obj):
             m[cols ^ p.x_mask, cols] += c * _values(p, cols)
     for factor in right:
@@ -313,11 +317,20 @@ def _rotate(av: np.ndarray, out: np.ndarray, pq: np.ndarray,
     a[...] = out
 
 
+class _Sweeps(int):
+    """Most sweeps any block of a stack took; each block's are in ``per_block``."""
+
+    def __new__(cls, per_block: np.ndarray) -> "_Sweeps":
+        self = super().__new__(cls, per_block.max(initial=0))
+        self.per_block = per_block
+        return self
+
+
 def _jacobi(stack: np.ndarray, sweep_cap: int
-            ) -> tuple[np.ndarray, np.ndarray, int]:
+            ) -> tuple[np.ndarray, np.ndarray, _Sweeps]:
     """Round-robin Jacobi on a ``(k, n, n)`` stack of Hermitian blocks:
     eigenvalues in diagonal order ``(k, n)``, eigenvector columns
-    ``(k, n, n)`` and sweeps, the most any block took.
+    ``(k, n, n)`` and the sweeps each block took.
 
     A sweep is the rounds of ``_rounds(n)``; each round rotates all its
     disjoint pairs in every block at once, and each rotation exactly
@@ -334,13 +347,13 @@ def _jacobi(stack: np.ndarray, sweep_cap: int
     target = 1e-13 * scale
     rounds = [(np.concatenate([p, q]), np.concatenate([p, n + p, q, n + q]),
                np.concatenate([q, p])) for p, q in zip(*_rounds(n))]
-    sweeps = 0
+    sweeps = np.zeros(k, dtype=int)
     while True:
         off = _offdiag_norms(av[:, :n])
         live = np.flatnonzero(off > target)
         if not len(live):
             break
-        if sweeps >= sweep_cap:
+        if sweeps.max() >= sweep_cap:
             raise ConvergenceError(
                 f"no convergence after {sweep_cap} sweeps: {len(live)} of "
                 f"{k} blocks of size {n} missed the target; worst "
@@ -353,9 +366,9 @@ def _jacobi(stack: np.ndarray, sweep_cap: int
             _rotate(work, out, pq, both, qp, thresh, scratch)
         if work is not av:
             av[live] = work
-        sweeps += 1
+        sweeps[live] += 1
     return (av[:, np.arange(n), np.arange(n)].real,
-            av[:, n:].conj().transpose(0, 2, 1), sweeps)
+            av[:, n:].conj().transpose(0, 2, 1), _Sweeps(sweeps))
 
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -370,44 +383,60 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(label == root) for root in np.unique(label)]
 
 
+def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
+                             sweep_cap: int = JACOBI_SWEEP_CAP
+                             ) -> list[SpectrumResult]:
+    """Diagonalize Hermitian operators by round-robin Jacobi on the connected
+    components of their symmetrized nonzero patterns, one stack per size
+    class ``(n - 1).bit_length()``, each block zero-padded to the largest in
+    its class (at most doubled; a class of one size is not padded).  A pad
+    couples to nothing, so every rotation touching it is skipped, an exact
+    identity, and a block's eigenpairs are its first ``n`` positions.
+
+    Eigenvalues ascend with their eigenvector columns; each residual is
+    against the operator's whole input.  ``sweep_cap`` applies to each block;
+    ``sweeps`` is the most any of the operator's own blocks took.  Raises
+    before any sweep past the eigensolve site limit or on non-Hermitian
+    input, and if a block does not converge.
+    """
+    mats, blocks = [], []
+    for op in ops:
+        op = DenseOperator(op) if isinstance(op, np.ndarray) else op
+        check_limit((op.dim - 1).bit_length(), "eigensolve")
+        if op.antilinear or not op.is_hermitian():
+            raise ValueError("eigensolver requires a Hermitian linear operator")
+        nonzero = op.matrix != 0
+        mats.append(op.matrix)
+        blocks.append(_blocks(nonzero | nonzero.T))
+    classes: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, comps in enumerate(blocks):
+        for idx in comps:
+            classes.setdefault((len(idx) - 1).bit_length(), []).append((i, idx))
+    vals, vecs = [np.zeros(len(a)) for a in mats], [np.zeros_like(a) for a in mats]
+    sweeps = [0] * len(mats)
+    for members in classes.values():
+        m = max(len(idx) for _, idx in members)
+        stack = np.zeros((len(members), m, m), dtype=complex)
+        for block, (i, idx) in zip(stack, members):
+            block[:len(idx), :len(idx)] = mats[i][np.ix_(idx, idx)]
+        w, v, took = _jacobi(stack, sweep_cap)
+        for j, (i, idx) in enumerate(members):
+            vals[i][idx] = w[j, :len(idx)]
+            vecs[i][np.ix_(idx, idx)] = v[j, :len(idx), :len(idx)]
+            sweeps[i] = max(sweeps[i], int(took.per_block[j]))
+    out = []
+    for a, val, vec, s, comps in zip(mats, vals, vecs, sweeps, blocks):
+        order = np.argsort(val, kind="stable")
+        val, vec = val[order], vec[:, order]
+        residual = float(np.max(np.linalg.norm(a @ vec - vec * val, axis=0))) if len(a) else 0.0
+        out.append(SpectrumResult(val, vec, residual, s, tuple(map(len, comps))))
+    return out
+
+
 def hermitian_eigensolve(op: DenseOperator | np.ndarray,
                          sweep_cap: int = JACOBI_SWEEP_CAP) -> SpectrumResult:
-    """Diagonalize a Hermitian operator by round-robin Jacobi on the
-    connected components of its symmetrized nonzero pattern, the components
-    of each size solved together as one stack.
-
-    Eigenvalues are returned ascending with the matching eigenvector
-    columns; the residual is measured against the whole input.
-    ``sweep_cap`` applies to each block and ``sweeps`` is the most any block
-    took.  Raises past the eigensolve site limit, on non-Hermitian input, or
-    if a block does not converge.
-    """
-    if isinstance(op, np.ndarray):
-        op = DenseOperator(op)
-    check_limit((op.dim - 1).bit_length(), "eigensolve")
-    if op.antilinear or not op.is_hermitian():
-        raise ValueError("eigensolver requires a Hermitian linear operator")
-    a0 = op.matrix
-    n = op.dim
-    nonzero = a0 != 0
-    blocks = _blocks(nonzero | nonzero.T)
-    by_size: dict[int, list[np.ndarray]] = {}
-    for idx in blocks:
-        by_size.setdefault(len(idx), []).append(idx)
-    vals = np.zeros(n)
-    v = np.zeros((n, n), dtype=complex)
-    sweeps = 0
-    for group in by_size.values():
-        idx = np.stack(group)
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        vals[idx], v[rows, cols], group_sweeps = _jacobi(a0[rows, cols], sweep_cap)
-        sweeps = max(sweeps, group_sweeps)
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order]
-    residual = float(np.max(np.linalg.norm(a0 @ vecs - vecs * vals, axis=0))) if n else 0.0
-    return SpectrumResult(vals, vecs, residual, sweeps,
-                          tuple(len(idx) for idx in blocks))
+    """``hermitian_eigensolve_all`` on one operator."""
+    return hermitian_eigensolve_all([op], sweep_cap)[0]
 
 
 # ---------------------------------------------------------------------------

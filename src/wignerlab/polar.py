@@ -1,14 +1,16 @@
 """Singular value and polar decomposition built on the Jacobi eigensolver,
 plus the block-structure and commutation checks for candidate non-invertible
-symmetry operators."""
+symmetry operators.  Many matrices are decomposed at once, their Gram
+matrices solved together in the eigensolver's size-class stacks."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseOperator, hermitian_eigensolve
+from .dense import DenseOperator, hermitian_eigensolve_all
 
 TAU_RANK_REL = 1e-10
 
@@ -57,57 +59,62 @@ def _complete_kernel(w: np.ndarray, n_range: int) -> np.ndarray:
     return out
 
 
-def svd(a: DenseOperator | np.ndarray) -> SVDResult:
-    """SVD of a square linear operator via the eigenbasis of A†A.
+def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
+    """SVD of square matrices via the eigenbasis of each A†A, all Gram
+    matrices in one ``hermitian_eigensolve_all`` call.  Range columns of W
+    are A v_i / sigma_i, kernel columns are completed deterministically."""
+    if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in mats):
+        raise ValueError("svd requires a square matrix")
+    grams = [a.conj().T @ a for a in mats]
+    grams = [0.5 * (g + g.conj().T) for g in grams]
+    out = []
+    for a, spec in zip(mats, hermitian_eigensolve_all(grams)):
+        # recompute sigma_i = |A v_i| directly: the squared (Gram) eigenvalues
+        # carry an eps * sigma_max**2 noise floor that would inflate the rank
+        av = a @ spec.eigenvectors
+        sigma_all = np.linalg.norm(av, axis=0)
+        order = np.argsort(sigma_all, kind="stable")[::-1]
+        sigma, v, av = sigma_all[order], spec.eigenvectors[:, order], av[:, order]
+        rank = int(np.sum(sigma > TAU_RANK_REL * sigma.max(initial=0.0)))
+        w = np.zeros_like(a)
+        w[:, :rank] = av[:, :rank] / sigma[:rank]
+        out.append(SVDResult(_complete_kernel(w, rank), sigma, v, rank))
+    return out
 
-    Right singular vectors come from the Jacobi eigensolver; range columns of
-    W are A v_i / sigma_i, kernel columns are completed deterministically.
-    """
+
+def svd(a: DenseOperator | np.ndarray) -> SVDResult:
+    """SVD of one square linear operator (``_svd_all`` on a list of one)."""
     if isinstance(a, DenseOperator):
         if a.antilinear:
             raise ValueError("svd expects the linear matrix part")
         a = a.matrix
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("svd requires a square matrix")
-    n = a.shape[0]
-    gram = a.conj().T @ a
-    gram = 0.5 * (gram + gram.conj().T)
-    spec = hermitian_eigensolve(DenseOperator(gram))
-    # recompute sigma_i = |A v_i| directly: the squared (Gram) eigenvalues
-    # carry an eps * sigma_max**2 noise floor that would inflate the rank
-    av = a @ spec.eigenvectors
-    sigma_all = np.linalg.norm(av, axis=0)
-    order = np.argsort(sigma_all, kind="stable")[::-1]
-    sigma = sigma_all[order]
-    v = spec.eigenvectors[:, order]
-    av = av[:, order]
-    smax = sigma[0] if n else 0.0
-    tau = TAU_RANK_REL * smax
-    rank = int(np.sum(sigma > tau))
-    w = np.zeros((n, n), dtype=complex)
-    for i in range(rank):
-        w[:, i] = av[:, i] / sigma[i]
-    w = _complete_kernel(w, rank)
-    return SVDResult(w, sigma, v, rank)
+    return _svd_all([np.asarray(a, dtype=complex)])[0]
+
+
+def polar_decompose_all(ops: Sequence[DenseOperator | np.ndarray]
+                        ) -> list[PolarFactors]:
+    """A = U_hat P_hat with U_hat = W V† unitary and P_hat = V Sigma V† PSD,
+    for every operator, from one batched SVD.  Antilinear input M∘K is
+    decomposed through its linear matrix M; the unitary factor is then
+    reported as the antiunitary U_hat∘K, composing as unitary * PSD * K.
+    """
+    mats = [a.matrix if isinstance(a, DenseOperator) else np.asarray(a, dtype=complex)
+            for a in ops]
+    out = []
+    for a, res in zip(ops, _svd_all(mats)):
+        u_hat = res.w @ res.v.conj().T
+        p_hat = (res.v * res.sigma) @ res.v.conj().T
+        p_hat = 0.5 * (p_hat + p_hat.conj().T)
+        antilinear = isinstance(a, DenseOperator) and a.antilinear
+        out.append(PolarFactors(DenseOperator(u_hat, antilinear=antilinear),
+                                DenseOperator(p_hat), res.sigma, res.rank,
+                                invertible=res.rank == len(res.sigma)))
+    return out
 
 
 def polar_decompose(a: DenseOperator | np.ndarray) -> PolarFactors:
-    """A = U_hat P_hat with U_hat = W V† unitary and P_hat = V Sigma V† PSD.
-
-    Antilinear input M∘K is decomposed through its linear matrix M; the
-    unitary factor is then reported as the antiunitary U_hat∘K, composing in
-    the order unitary * PSD * K.
-    """
-    antilinear = isinstance(a, DenseOperator) and a.antilinear
-    mat = a.matrix if isinstance(a, DenseOperator) else np.asarray(a, dtype=complex)
-    res = svd(mat)
-    u_hat = res.w @ res.v.conj().T
-    p_hat = (res.v * res.sigma) @ res.v.conj().T
-    p_hat = 0.5 * (p_hat + p_hat.conj().T)
-    return PolarFactors(DenseOperator(u_hat, antilinear=antilinear),
-                        DenseOperator(p_hat), res.sigma, res.rank,
-                        invertible=res.rank == mat.shape[0])
+    """``polar_decompose_all`` on one operator."""
+    return polar_decompose_all([a])[0]
 
 
 def verify_theorem_structure(d: DenseOperator, isometry: np.ndarray,

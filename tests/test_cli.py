@@ -219,6 +219,19 @@ def test_seeded_pairs_do_not_collide():
     assert not matter & states(0, 1)
 
 
+def test_commutator_battery_builds_each_circuit_once(monkeypatch):
+    from wignerlab import cli, gauge
+    from wignerlab.clifford import CliffordCircuit
+    built = []
+    for module in (cli, gauge):
+        monkeypatch.setattr(module, "materialize",
+                            lambda obj, *right, _m=materialize: built.append(
+                                isinstance(obj, CliffordCircuit)) or _m(obj, *right))
+    checks = cli.commutator_checks(3)
+    assert all(c["status"] == "pass" for c in checks)
+    assert sum(built) == 3
+
+
 # -- no input ends in a traceback ------------------------------------------------
 
 @contextlib.contextmanager

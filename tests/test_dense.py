@@ -24,6 +24,7 @@ from wignerlab.dense import (DENSE_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
                              read_dense_binary, read_dense_csv,
                              transition_experiment, write_dense_binary,
                              write_dense_csv)
+from wignerlab.dense import hermitian_eigensolve_all
 from wignerlab.gauge import build_d_hat, build_d_noninvertible
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
                               eigensolve_hamiltonian)
@@ -214,6 +215,34 @@ def test_right_factor_on_another_layout_rejected():
 
 
 # -- dimension caps -------------------------------------------------------------
+
+@pytest.mark.parametrize("L", range(2, 7))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_d_operators_from_built_circuits_are_byte_identical(L, sign):
+    u2, ug = materialize(build_u2(L)), materialize(build_u_gauged(L))
+    u2_bytes, ug_bytes = u2.matrix.tobytes(), ug.matrix.tobytes()
+    assert (build_d_noninvertible(L, sign, u2).matrix.tobytes()
+            == build_d_noninvertible(L, sign).matrix.tobytes())
+    for antilinear in (False, True):
+        d_hat = build_d_hat(L, sign, antilinear, ug=ug)
+        assert d_hat.antilinear == antilinear
+        assert d_hat.matrix.tobytes() == build_d_hat(L, sign).matrix.tobytes()
+    # the built circuits are copied, not changed
+    assert u2.matrix.tobytes() == u2_bytes and ug.matrix.tobytes() == ug_bytes
+
+
+def test_dense_left_operand_must_match_its_right_factors():
+    p = symmetry_projector(1, matter_layout(3))
+    u = materialize(build_u2(4))
+    with pytest.raises(ValueError, match="dimension"):
+        materialize(u, p)
+    with pytest.raises(ValueError, match="right"):
+        materialize(u)
+    with pytest.raises(ValueError, match="linear"):
+        materialize(DenseOperator(np.eye(8), antilinear=True), p)
+    got = materialize(DenseOperator(np.eye(8)), p, p).matrix
+    assert np.array_equal(got, materialize(p).matrix)
+
 
 def test_string_cap_enforced():
     lay = matter_layout(DENSE_SITE_LIMIT + 1)
@@ -429,6 +458,85 @@ def test_rotated_h_full_is_one_stack(monkeypatch):
     assert res.block_sizes == (16,) * 16
     m = materialize(h).matrix
     assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
+
+
+def _record_jacobi(monkeypatch):
+    """Patch ``_jacobi`` to record each stack it solves and its result."""
+    calls = []
+    jacobi = dense._jacobi
+    monkeypatch.setattr(dense, "_jacobi", lambda stack, cap: calls.append(
+        (stack.copy(), jacobi(stack, cap))) or calls[-1][1])
+    return calls
+
+
+def test_padded_class_matches_each_block_alone(monkeypatch):
+    rng = np.random.default_rng(31)
+    ops = [_random_hermitian(rng, n) for n in (9, 12, 16)]
+    alone = [hermitian_eigensolve(a) for a in ops]
+    calls = _record_jacobi(monkeypatch)
+    batch = hermitian_eigensolve_all(ops)
+    (stack, (_, vecs, _)), = calls
+    assert stack.shape == (3, 16, 16)
+    for a, got, want, block, vec in zip(ops, batch, alone, stack, vecs):
+        n = len(a)
+        assert np.array_equal(block[:n, :n], a)
+        assert not block[n:].any() and not block[:, n:].any()
+        assert not vec[n:, :n].any()  # the pad entries are exactly 0
+        assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-12
+        assert np.max(np.abs(got.eigenvalues - np.linalg.eigvalsh(a))) < 1e-12
+        v = got.eigenvectors
+        assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-12
+        assert np.linalg.norm((v * got.eigenvalues) @ v.conj().T - a) < 1e-12
+        assert got.residual < 1e-12 and got.block_sizes == (n,)
+
+
+def test_equal_size_class_is_the_unpadded_stack():
+    rng = np.random.default_rng(37)
+    ops = [_random_hermitian(rng, 9) for _ in range(3)]
+    ops[1] = block_diag(ops[1], _random_hermitian(rng, 9))  # two blocks
+    vals, vecs, _ = dense._jacobi(np.stack([ops[0], ops[1][:9, :9],
+                                            ops[1][9:, 9:], ops[2]]), 100)
+    got = hermitian_eigensolve_all(ops)
+    for res, k in zip((got[0], got[2]), (0, 3)):
+        order = np.argsort(vals[k], kind="stable")
+        assert np.array_equal(res.eigenvalues, vals[k][order])
+        assert np.array_equal(res.eigenvectors, vecs[k][:, order])
+    both = np.concatenate([vals[1], vals[2]])
+    order = np.argsort(both, kind="stable")
+    assert np.array_equal(got[1].eigenvalues, both[order])
+    assert np.array_equal(got[1].eigenvectors,
+                          block_diag(vecs[1], vecs[2])[:, order])
+
+
+def test_size_classes_keep_singletons_and_lone_blocks_unpadded(monkeypatch):
+    rng = np.random.default_rng(41)
+    calls = _record_jacobi(monkeypatch)
+    res = hermitian_eigensolve(block_diag(np.diag([3.0, -1.0, 2.0]),
+                                          _random_hermitian(rng, 64)))
+    assert sorted(stack.shape for stack, _ in calls) == [(1, 64, 64), (3, 1, 1)]
+    assert res.block_sizes == (1, 1, 1, 64)
+    calls.clear()
+    hermitian_eigensolve_all([_random_hermitian(rng, 33),
+                              _random_hermitian(rng, 20)])
+    assert sorted(stack.shape for stack, _ in calls) == [(1, 20, 20),
+                                                         (1, 33, 33)]
+
+
+def test_sweeps_count_only_the_operators_own_blocks(monkeypatch):
+    rng = np.random.default_rng(43)
+    # one block of 12, joined by couplings far below its target
+    near_diag = np.diag(np.arange(12.0)) + 1e-20 * (np.eye(12, k=1)
+                                                    + np.eye(12, k=-1))
+    dense_op = _random_hermitian(rng, 12)
+    calls = _record_jacobi(monkeypatch)
+    diag, near, full = hermitian_eigensolve_all(
+        [np.diag([2.0, 1.0, 5.0]), near_diag, dense_op])
+    assert [stack.shape for stack, _ in calls] == [(3, 1, 1), (2, 12, 12)]
+    took = calls[1][1][2]
+    assert took.per_block.tolist() == [0, took] and took > 2
+    assert diag.sweeps == 0 and near.sweeps == 0
+    assert full.sweeps == took == hermitian_eigensolve(dense_op).sweeps
+    assert np.array_equal(diag.eigenvalues, [1.0, 2.0, 5.0])
 
 
 def test_eigensolver_rejects_non_hermitian():

@@ -14,6 +14,7 @@ from wignerlab.models import Family, ModelSpec, build_hamiltonian
 from wignerlab.pauli import PauliString, PauliSum, ancilla_layout
 from wignerlab.polar import (corollary_check, polar_decompose, svd,
                              verify_theorem_structure)
+from wignerlab.polar import polar_decompose_all
 
 
 def random_matrix(rng, n, rank=None):
@@ -130,6 +131,41 @@ def test_polar_of_antilinear_keeps_flag():
     m = random_matrix(rng, 6)
     f = polar_decompose(DenseOperator(m, antilinear=True))
     assert f.unitary_part.antilinear and not f.psd_part.antilinear
+
+
+def test_batched_polar_matches_one_at_a_time():
+    # sizes 9, 12 and 16 share one padded stack; 3 and 5 have their own
+    rng = np.random.default_rng(13)
+    ops = [random_matrix(rng, n) for n in (9, 12, 3, 16, 5)]
+    ops += [DenseOperator(random_matrix(rng, 6), antilinear=True),
+            build_d_hat(2, 1), build_d_hat(2, -1, antilinear=True)]
+    for op, got in zip(ops, polar_decompose_all(ops)):
+        want = polar_decompose(op)
+        assert got.rank == want.rank and got.invertible == want.invertible
+        assert np.max(np.abs(got.sigma - want.sigma)) < 1e-12
+        for part in ("unitary_part", "psd_part"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert g.antilinear == w.antilinear
+            assert np.max(np.abs(g.matrix - w.matrix)) < 1e-12
+    assert polar_decompose_all([]) == []
+
+
+def test_polar_checks_stack_random_matrices_by_size_class(monkeypatch):
+    from wignerlab import cli, dense, polar
+    batches = []
+    batch = polar.polar_decompose_all
+    monkeypatch.setattr(polar, "polar_decompose_all",
+                        lambda ops: batches.append((len(ops), [])) or batch(ops))
+    jacobi = dense._jacobi
+    monkeypatch.setattr(dense, "_jacobi", lambda stack, cap: batches[-1][1]
+                        .append(stack.shape) or jacobi(stack, cap))
+    checks = cli.polar_checks(3, 1, 0)
+    assert checks[0]["name"] == "polar reconstruction on random matrices"
+    assert checks[0]["status"] == "pass"
+    count, shapes = batches[0]
+    assert count == 20 and sum(k for k, _, _ in shapes) == 20
+    classes = [(n - 1).bit_length() for _, n, _ in shapes]
+    assert len(classes) == len(set(classes)) <= 4
 
 
 @settings(max_examples=30)
