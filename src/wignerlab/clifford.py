@@ -12,15 +12,14 @@ tableau rows that ``p``'s bits name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
 from .pauli import (HilbertLayout, PauliString, PauliSum, SiteRef,
-                    ancilla_layout, eta_string, format_layout, format_string,
-                    matter_layout, mul, parse_layout, parse_string, set_bits)
+                    ancilla_layout, eta_string, matter_layout, mul, set_bits)
 
 
 @dataclass(frozen=True)
@@ -321,49 +320,3 @@ def verify_automorphism(c: CliffordCircuit, m: DualityMap) -> dict:
     return {"map": m.name, "entries": records,
             "passed": all(r["ok"] for r in records)}
 
-
-# ---------------------------------------------------------------------------
-# circuit text format
-# ---------------------------------------------------------------------------
-
-_GATE_NAMES = {ControlledX: "CX", ControlledZ: "CZ", Swap: "SWAP", Hadamard: "H"}
-_GATE_KINDS = {name: cls for cls, name in _GATE_NAMES.items()}
-
-
-def _parse_site(layout: HilbertLayout, tok: str) -> SiteRef:
-    site = int(tok) if tok.isdigit() else tok
-    layout.index_of(site)  # validates
-    return site
-
-
-def format_circuit(c: CliffordCircuit) -> str:
-    """One gate per line: ``ROT - X3``, ``CX 2 1``, ``CZ 4 3``, ``SWAP 1 4``, ``H 4``."""
-    lines = [format_layout(c.layout)]
-    for g in c.gates:
-        if isinstance(g, QuarterRotation):
-            body = format_string(g.axis).split(" | ")[0].removeprefix("(+1i^0) ")
-            lines.append(f"ROT {'+' if g.sign > 0 else '-'} {body}")
-        else:
-            lines.append(" ".join([_GATE_NAMES[type(g)],
-                                   *(str(getattr(g, f.name)) for f in fields(g))]))
-    return "\n".join(lines)
-
-
-def parse_circuit(text: str) -> CliffordCircuit:
-    header, *lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
-    layout = parse_layout(header)
-    gates: list[CliffordGate] = []
-    for ln in lines:
-        kind, *args = ln.split()
-        cls = _GATE_KINDS.get(kind)
-        if cls is not None and len(args) == len(fields(cls)):
-            gates.append(cls(*(_parse_site(layout, a) for a in args)))
-        elif kind == "ROT" and len(args) > 1 and args[0] in ("+", "-"):
-            body = " ".join(args[1:])
-            if not body.startswith("("):
-                body = f"(+1i^0) {body}"
-            axis = parse_string(f"{body} | {format_layout(layout)}")
-            gates.append(QuarterRotation(axis, 1 if args[0] == "+" else -1))
-        else:
-            raise ValueError(f"bad gate line {ln!r}")
-    return CliffordCircuit(layout, tuple(gates))

@@ -28,7 +28,6 @@ import numpy as np
 from .clifford import CliffordCircuit
 from .pauli import PauliString, PauliSum, set_bits
 
-TAU_UNIT = 1e-10
 TAU_EIG_PER_DIM = 1e-9
 JACOBI_SWEEP_CAP = 100
 
@@ -79,18 +78,6 @@ class DenseOperator:
         if psi.shape[0] != self.dim:
             raise ValueError("dimension mismatch")
         return self.matrix @ (np.conj(psi) if self.antilinear else psi)
-
-    def compose(self, other: "DenseOperator") -> "DenseOperator":
-        """``self`` after ``other``; two antilinear factors compose to linear."""
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        right = np.conj(other.matrix) if self.antilinear else other.matrix
-        return DenseOperator(self.matrix @ right,
-                             antilinear=self.antilinear != other.antilinear)
-
-    def is_unitary(self, tol: float = TAU_UNIT) -> bool:
-        d = self.matrix.conj().T @ self.matrix - np.eye(self.dim)
-        return float(np.linalg.norm(d)) < tol
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         if self.antilinear:
@@ -317,17 +304,8 @@ def _rotate(av: np.ndarray, out: np.ndarray, pq: np.ndarray,
     a[...] = out
 
 
-class _Sweeps(int):
-    """Most sweeps any block of a stack took; each block's are in ``per_block``."""
-
-    def __new__(cls, per_block: np.ndarray) -> "_Sweeps":
-        self = super().__new__(cls, per_block.max(initial=0))
-        self.per_block = per_block
-        return self
-
-
 def _jacobi(stack: np.ndarray, sweep_cap: int
-            ) -> tuple[np.ndarray, np.ndarray, _Sweeps]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Round-robin Jacobi on a ``(k, n, n)`` stack of Hermitian blocks:
     eigenvalues in diagonal order ``(k, n)``, eigenvector columns
     ``(k, n, n)`` and the sweeps each block took.
@@ -368,7 +346,7 @@ def _jacobi(stack: np.ndarray, sweep_cap: int
             av[live] = work
         sweeps[live] += 1
     return (av[:, np.arange(n), np.arange(n)].real,
-            av[:, n:].conj().transpose(0, 2, 1), _Sweeps(sweeps))
+            av[:, n:].conj().transpose(0, 2, 1), sweeps)
 
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -423,7 +401,7 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
         for j, (i, idx) in enumerate(members):
             vals[i][idx] = w[j, :len(idx)]
             vecs[i][np.ix_(idx, idx)] = v[j, :len(idx), :len(idx)]
-            sweeps[i] = max(sweeps[i], int(took.per_block[j]))
+            sweeps[i] = max(sweeps[i], int(took[j]))
     out = []
     for a, val, vec, s, comps in zip(mats, vals, vecs, sweeps, blocks):
         order = np.argsort(val, kind="stable")

@@ -19,12 +19,7 @@ from .pauli import PauliSum, ancilla_layout, matter_layout, symmetry_projector
 class SectorEmbedding:
     """Isometric inclusion of the physical space into one gauge sector."""
     source_dim: int
-    target_dim: int
-    label: str
-    isometry: np.ndarray  # target_dim x source_dim, orthonormal columns
-
-    def projector(self) -> np.ndarray:
-        return self.isometry @ self.isometry.conj().T
+    isometry: np.ndarray  # (target dim) x source_dim, orthonormal columns
 
 
 def ancilla_sector_embedding(L: int, sign: int) -> SectorEmbedding:
@@ -36,7 +31,7 @@ def ancilla_sector_embedding(L: int, sign: int) -> SectorEmbedding:
     iota = np.zeros((2 * d, d), dtype=complex)
     offset = 0 if sign > 0 else d
     iota[offset:offset + d, :] = np.eye(d)
-    return SectorEmbedding(d, 2 * d, f"ancilla{'+' if sign > 0 else '-'}", iota)
+    return SectorEmbedding(d, iota)
 
 
 def embed_state(alpha: StateVector, e: SectorEmbedding) -> StateVector:

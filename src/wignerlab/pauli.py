@@ -12,8 +12,7 @@ floating phases ever enter the symbolic kernel.
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 SiteRef = Union[int, str]  # matter sites are 1-based ints, gauge slots are labels
@@ -145,11 +144,6 @@ class PauliString:
     def __mul__(self, other: "PauliString") -> "PauliString":
         return mul(self, other)
 
-    def dagger(self) -> "PauliString":
-        w = (self.x_mask & self.z_mask).bit_count()
-        return PauliString(self.layout, self.x_mask, self.z_mask,
-                           (-self.phase_exp + 2 * w) % 4)
-
     def is_hermitian(self) -> bool:
         # i**p * B with B† = (-1)**|x&z| B is Hermitian iff p = |x&z| mod 2
         return (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 2 == 0
@@ -163,9 +157,6 @@ class PauliString:
     @property
     def coefficient(self) -> complex:
         return 1j ** self.phase_exp
-
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
 
     # -- text form ---------------------------------------------------------
 
@@ -298,12 +289,6 @@ class PauliSum:
                 acc[key] = acc.get(key, 0j) + c1 * c2 * (1j ** ((2 * swaps) % 4))
         return PauliSum(self.layout, acc)
 
-    def dagger(self) -> "PauliSum":
-        acc = {}
-        for (x, z), c in self.terms.items():
-            acc[(x, z)] = c.conjugate() * (-1) ** ((x & z).bit_count())
-        return PauliSum(self.layout, acc)
-
     def __str__(self) -> str:
         return format_sum(self)
 
@@ -334,24 +319,12 @@ def symmetry_projector(sign: int, layout: HilbertLayout,
 
 
 # ---------------------------------------------------------------------------
-# text serialization
+# text form
 # ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"([XYZ])(?:\[([^\]]+)\]|(\d+))")
-_LAYOUT_RE = re.compile(r"\s*L=(\d+),\s*gauge=\[([^\]]*)\]\s*$")
-
 
 def format_layout(layout: HilbertLayout) -> str:
     """The layout header ``L=<n>, gauge=[<labels>]`` shared by all text forms."""
     return f"L={layout.n_matter}, gauge=[{','.join(layout.gauge_slots)}]"
-
-
-def parse_layout(text: str) -> HilbertLayout:
-    m = _LAYOUT_RE.match(text)
-    if not m:
-        raise ValueError(f"bad layout header {text!r}")
-    return HilbertLayout(int(m.group(1)),
-                         tuple(s for s in m.group(2).split(",") if s))
 
 
 def _site_token(layout: HilbertLayout, bit: int) -> str:
@@ -372,35 +345,6 @@ def format_string(p: PauliString) -> str:
     return f"(+1i^{exp}) {body} | {format_layout(p.layout)}"
 
 
-def parse_string(text: str) -> PauliString:
-    body, _, header = text.partition("|")
-    layout = parse_layout(header)
-    pm = re.match(r"\s*\(\+1i\^(\d)\)\s*(.*)$", body)
-    if not pm:
-        raise ValueError(f"bad phase prefix in {text!r}")
-    exp = int(pm.group(1))
-    rest = pm.group(2).strip()
-    ops: list[tuple[str, SiteRef]] = []
-    if rest != "I":
-        consumed = 0
-        for tok in _TOKEN_RE.finditer(rest):
-            kind, gauge, matter = tok.groups()
-            ops.append((kind, gauge if gauge is not None else int(matter)))
-            consumed += 1
-        if consumed != len(rest.split()):
-            raise ValueError(f"unparsed tokens in {text!r}")
-    x = z = 0
-    n_y = 0
-    for kind, site in ops:
-        b = 1 << layout.index_of(site)
-        if kind in ("X", "Y"):
-            x |= b
-        if kind in ("Z", "Y"):
-            z |= b
-        n_y += kind == "Y"
-    return PauliString(layout, x, z, (exp + n_y) % 4)
-
-
 def format_sum(s: PauliSum) -> str:
     lines = [format_layout(s.layout)]
     for c, p in s:
@@ -408,13 +352,3 @@ def format_sum(s: PauliSum) -> str:
         lines.append(f"{c!r}  {body}")
     return "\n".join(lines)
 
-
-def parse_sum(text: str) -> PauliSum:
-    header, *lines = [ln for ln in text.splitlines() if ln.strip()] or [""]
-    layout = parse_layout(header)
-    terms = []
-    for ln in lines:
-        coeff_txt, body = ln.split("  ", 1)
-        terms.append((complex(coeff_txt),
-                      parse_string(f"{body} | {format_layout(layout)}")))
-    return PauliSum.from_strings(layout, terms)

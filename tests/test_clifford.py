@@ -14,9 +14,9 @@ from conftest import (fold_conjugate, oracle_circuit_matrix,
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap, build_u1,
                                 build_u2, build_u_gauged, conjugate_circuit,
-                                conjugate_gate, conjugate_sum, format_circuit,
-                                parse_circuit, phi1_table, phi2_table,
-                                phi_gauged_table, verify_automorphism)
+                                conjugate_gate, conjugate_sum, phi1_table,
+                                phi2_table, phi_gauged_table,
+                                verify_automorphism)
 from wignerlab.dense import materialize
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
 from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout,
@@ -218,20 +218,6 @@ def test_materialize_leaves_tableau_uncompiled():
     c = build_u2(3)
     materialize(c)
     assert "images" not in vars(c)
-
-
-# -- text form ----------------------------------------------------------------
-
-@pytest.mark.parametrize("build,L", [(build_u1, 3), (build_u2, 4),
-                                     (build_u_gauged, 3)])
-def test_circuit_text_roundtrip(build, L):
-    c = build(L)
-    assert parse_circuit(format_circuit(c)) == c
-
-
-def test_circuit_text_tokens():
-    text = format_circuit(build_u2(2))
-    assert "ROT - X2" in text or "ROT - X1" in text
 
 
 def test_circuit_layout_mismatch_rejected():

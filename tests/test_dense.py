@@ -102,7 +102,8 @@ def test_controlled_and_swap_gates_dense():
 @pytest.mark.parametrize("build,L", [(build_u1, 3), (build_u2, 3),
                                      (build_u_gauged, 3)])
 def test_circuits_materialize_unitary(build, L):
-    assert materialize(build(L)).is_unitary()
+    u = materialize(build(L)).matrix
+    assert np.linalg.norm(u.conj().T @ u - np.eye(len(u))) < 1e-10
 
 
 def test_right_factors_multiply_left_to_right():
@@ -405,7 +406,7 @@ def test_stack_solve_equals_block_by_block():
     for k, (val, vec, _) in enumerate(alone):
         assert np.max(np.abs(vals[k] - val[0])) < 1e-12
         assert np.max(np.abs(vecs[k] - vec[0])) < 1e-12
-    assert sweeps == max(s for _, _, s in alone)
+    assert sweeps.max() == max(s.max() for _, _, s in alone)
 
 
 def test_converged_block_leaves_the_stack(monkeypatch):
@@ -417,7 +418,7 @@ def test_converged_block_leaves_the_stack(monkeypatch):
     rotate = dense._rotate
     monkeypatch.setattr(dense, "_rotate",
                         lambda av, *rest: sizes.append(len(av)) or rotate(av, *rest))
-    _, _, sweeps = dense._jacobi(stack, 100)
+    sweeps = int(dense._jacobi(stack, 100)[2].max())
     rounds = len(dense._rounds(6)[0])
     assert sweeps > 2 and sizes == [2] * rounds + [1] * (sweeps - 1) * rounds
 
@@ -533,9 +534,9 @@ def test_sweeps_count_only_the_operators_own_blocks(monkeypatch):
         [np.diag([2.0, 1.0, 5.0]), near_diag, dense_op])
     assert [stack.shape for stack, _ in calls] == [(3, 1, 1), (2, 12, 12)]
     took = calls[1][1][2]
-    assert took.per_block.tolist() == [0, took] and took > 2
+    assert took.tolist() == [0, took.max()] and took.max() > 2
     assert diag.sweeps == 0 and near.sweeps == 0
-    assert full.sweeps == took == hermitian_eigensolve(dense_op).sweeps
+    assert full.sweeps == took.max() == hermitian_eigensolve(dense_op).sweeps
     assert np.array_equal(diag.eigenvalues, [1.0, 2.0, 5.0])
 
 
@@ -544,26 +545,12 @@ def test_eigensolver_rejects_non_hermitian():
         hermitian_eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-# -- antilinear composition -------------------------------------------------------
+# -- antilinear operators -------------------------------------------------------
 
 def test_antilinear_apply_conjugates_first():
     k = DenseOperator(np.eye(2), antilinear=True)
     psi = np.array([1.0, 1.0j])
     assert np.allclose(k.apply(psi), [1.0, -1.0j])
-
-
-def test_antilinear_composition_rules():
-    rng = np.random.default_rng(3)
-    a = DenseOperator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-                      antilinear=True)
-    b = DenseOperator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)),
-                      antilinear=True)
-    ab = a.compose(b)
-    assert not ab.antilinear
-    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-    assert np.allclose(ab.apply(psi), a.apply(b.apply(psi)))
-    lin = DenseOperator(np.eye(4))
-    assert a.compose(lin).antilinear and lin.compose(a).antilinear
 
 
 # -- random states and transition experiments ---------------------------------------

@@ -27,10 +27,8 @@ from wignerlab.pauli import PauliString, ancilla_layout, symmetry_projector
 @pytest.mark.parametrize("sign", [1, -1])
 def test_embedding_is_isometric(sign):
     e = ancilla_sector_embedding(3, sign)
-    assert e.source_dim == 8 and e.target_dim == 16
+    assert e.source_dim == 8 and e.isometry.shape == (16, 8)
     assert np.allclose(e.isometry.conj().T @ e.isometry, np.eye(8))
-    p = e.projector()
-    assert np.allclose(p @ p, p)
 
 
 def test_embedding_lands_in_ancilla_eigenspace():

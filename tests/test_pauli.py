@@ -1,5 +1,5 @@
 """Phase-tracked Pauli algebra: group law, commutation, sums, projectors,
-and text round-trips, all checked against kron-built dense oracles."""
+and text form, all checked against kron-built dense oracles."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_string_matrix
-from wignerlab.clifford import parse_circuit
-from wignerlab.pauli import (HilbertLayout, LayoutMismatchError, PauliString,
-                             PauliSum, ancilla_layout, commutes, eta_string,
+from wignerlab.pauli import (LayoutMismatchError, PauliString, PauliSum,
+                             ancilla_layout, commutes, eta_string,
                              format_layout, format_string, format_sum,
-                             link_layout, matter_layout, mul, parse_string,
-                             parse_sum, sum_commutator, symmetry_projector)
+                             link_layout, matter_layout, mul, sum_commutator,
+                             symmetry_projector)
 
 LAYOUT3 = matter_layout(3)
 
@@ -100,7 +99,6 @@ def test_commutes_matches_dense(p, q):
 @given(strings())
 def test_dagger_and_hermiticity_match_dense(p):
     m = oracle_string_matrix(p)
-    assert np.allclose(oracle_string_matrix(p.dagger()), m.conj().T, atol=1e-14)
     assert p.is_hermitian() == np.allclose(m, m.conj().T, atol=1e-14)
 
 
@@ -114,7 +112,6 @@ def test_square_is_phase_times_identity(p):
 
 def test_weight_and_coefficient():
     p = PauliString.from_sites(LAYOUT3, [("Y", 1), ("Z", 3)])
-    assert p.weight() == 2
     assert p.coefficient == 1j  # stored as i * X1 Z1 Z3
 
 
@@ -184,7 +181,7 @@ def test_projector_eigenvalue_relation():
     assert eta * p == (-1.0) * p
 
 
-# -- text serialization -------------------------------------------------------
+# -- text form ----------------------------------------------------------------
 
 def test_format_string_examples():
     assert format_string(PauliString.from_sites(LAYOUT3, [("X", 1), ("Z", 3)])) \
@@ -194,18 +191,15 @@ def test_format_string_examples():
     assert "X[3/2]" in format_string(p)
 
 
-@settings(max_examples=100)
-@given(strings())
-def test_string_text_roundtrip(p):
-    assert parse_string(format_string(p)) == p
-
-
-@settings(max_examples=60)
-@given(strings(), strings(),
-       st.complex_numbers(allow_nan=False, allow_infinity=False, max_magnitude=1e6))
-def test_sum_text_roundtrip(p, q, c):
-    s = PauliSum.from_string(p, c) + PauliSum.from_string(q, 1.25)
-    assert parse_sum(format_sum(s)) == s
+def test_format_sum_example():
+    s = PauliSum.from_strings(LAYOUT3, [
+        (-2, PauliString.single(LAYOUT3, "X", 3)),
+        (0.5, PauliString.from_sites(LAYOUT3, [("Z", 1), ("Z", 2)]))])
+    # terms in sorted (x_mask, z_mask) order: Z1 Z2 is (0, 3), X3 is (4, 0)
+    assert format_sum(s) == ("L=3, gauge=[]\n"
+                             "(0.5+0j)  (+1i^0) Z1 Z2\n"
+                             "(-2+0j)  (+1i^0) X3")
+    assert str(s) == format_sum(s)
 
 
 def per_site_format(p: PauliString) -> str:
@@ -253,12 +247,3 @@ def test_from_strings_rejects_other_layout():
     with pytest.raises(LayoutMismatchError):
         PauliSum.from_strings(LAYOUT3, [(1, eta_string(matter_layout(2)))])
 
-
-def test_parse_rejects_malformed():
-    with pytest.raises(ValueError):
-        parse_string("(+1i^0) Q1 | L=3, gauge=[]")
-    for parse, text in [(parse_sum, ""), (parse_circuit, ""),
-                        (parse_circuit, "L=2, gauge=[]\nCX 1"),
-                        (parse_circuit, "L=2, gauge=[]\nH 3")]:
-        with pytest.raises(ValueError):
-            parse(text)

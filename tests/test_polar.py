@@ -97,7 +97,8 @@ def test_polar_reconstruction_on_200_random_matrices():
         f = polar_decompose(m)
         worst = max(worst, float(np.linalg.norm(
             f.unitary_part.matrix @ f.psd_part.matrix - m)))
-        assert f.unitary_part.is_unitary(1e-9)
+        u = f.unitary_part.matrix
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-9
         evs = np.linalg.eigvalsh(f.psd_part.matrix)
         assert evs.min() > -1e-10
         if rank is not None:
