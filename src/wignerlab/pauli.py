@@ -12,7 +12,7 @@ floating phases ever enter the symbolic kernel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Union
 
 SiteRef = Union[int, str]  # matter sites are 1-based ints, gauge slots are labels
@@ -37,6 +37,7 @@ class HilbertLayout:
 
     n_matter: int
     gauge_slots: tuple[str, ...] = ()
+    total_sites: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_matter < 0:
@@ -44,10 +45,8 @@ class HilbertLayout:
         if len(set(self.gauge_slots)) != len(self.gauge_slots):
             raise ValueError("duplicate gauge slot labels")
         object.__setattr__(self, "gauge_slots", tuple(self.gauge_slots))
-
-    @property
-    def total_sites(self) -> int:
-        return self.n_matter + len(self.gauge_slots)
+        object.__setattr__(self, "total_sites",
+                           self.n_matter + len(self.gauge_slots))
 
     @property
     def dim(self) -> int:
@@ -86,30 +85,68 @@ def link_layout(L: int) -> HilbertLayout:
     return HilbertLayout(L, tuple(f"{2 * j - 1}/2" for j in range(1, L + 1)))
 
 
-def set_bits(mask: int) -> Iterator[int]:
+def set_bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 def _check_layout(a: "PauliString | PauliSum", b: "PauliString | PauliSum") -> None:
-    if a.layout != b.layout:
+    if a.layout is not b.layout and a.layout != b.layout:
         raise LayoutMismatchError(f"layout mismatch: {a.layout} vs {b.layout}")
 
 
-@dataclass(frozen=True)
 class PauliString:
-    layout: HilbertLayout
-    x_mask: int = 0
-    z_mask: int = 0
-    phase_exp: int = 0  # overall factor i**phase_exp, mod 4
+    """Immutable value ``i**phase_exp * prod_j X_j**x_j Z_j**z_j`` on ``layout``.
 
-    def __post_init__(self) -> None:
-        if (self.x_mask | self.z_mask) >> self.layout.total_sites:
+    The constructor checks that the masks fit the layout; products,
+    single-site strings and tableau rows, which fit whenever their inputs
+    do, are built by the unchecked ``_string``.
+    """
+
+    __slots__ = ("layout", "x_mask", "z_mask", "phase_exp")
+
+    layout: HilbertLayout
+    x_mask: int
+    z_mask: int
+    phase_exp: int  # overall factor i**phase_exp, mod 4
+
+    def __init__(self, layout: HilbertLayout, x_mask: int = 0, z_mask: int = 0,
+                 phase_exp: int = 0) -> None:
+        if (x_mask | z_mask) >> layout.total_sites:
             raise ValueError("mask extends past the layout")
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        _set_layout(self, layout)
+        _set_x(self, x_mask)
+        _set_z(self, z_mask)
+        _set_phase(self, phase_exp % 4)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PauliString, (self.layout, self.x_mask, self.z_mask,
+                             self.phase_exp)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PauliString:
+            return NotImplemented
+        return (self.x_mask == other.x_mask and self.z_mask == other.z_mask
+                and self.phase_exp == other.phase_exp
+                and (self.layout is other.layout or self.layout == other.layout))
+
+    def __hash__(self) -> int:
+        return hash((self.layout, self.x_mask, self.z_mask, self.phase_exp))
+
+    def __repr__(self) -> str:
+        return (f"PauliString(layout={self.layout!r}, x_mask={self.x_mask!r}, "
+                f"z_mask={self.z_mask!r}, phase_exp={self.phase_exp!r})")
 
     # -- constructors ------------------------------------------------------
 
@@ -122,11 +159,11 @@ class PauliString:
         """Single-site X/Y/Z operator."""
         b = 1 << layout.index_of(site)
         if kind == "X":
-            return cls(layout, b, 0, 0)
+            return _string(layout, b, 0, 0)
         if kind == "Z":
-            return cls(layout, 0, b, 0)
+            return _string(layout, 0, b, 0)
         if kind == "Y":
-            return cls(layout, b, b, 1)  # Y = i X Z
+            return _string(layout, b, b, 1)  # Y = i X Z
         raise ValueError(f"unknown Pauli kind {kind!r}")
 
     @classmethod
@@ -152,7 +189,7 @@ class PauliString:
         return self.x_mask == 0 and self.z_mask == 0 and self.phase_exp == 0
 
     def phase_free(self) -> "PauliString":
-        return PauliString(self.layout, self.x_mask, self.z_mask, 0)
+        return _string(self.layout, self.x_mask, self.z_mask, 0)
 
     @property
     def coefficient(self) -> complex:
@@ -164,13 +201,35 @@ class PauliString:
         return format_string(self)
 
 
+# slot setters that bypass the frozen ``__setattr__``
+_set_layout = PauliString.layout.__set__
+_set_x = PauliString.x_mask.__set__
+_set_z = PauliString.z_mask.__set__
+_set_phase = PauliString.phase_exp.__set__
+_new = object.__new__
+
+
+def _string(layout: HilbertLayout, x_mask: int, z_mask: int,
+            phase_exp: int) -> PauliString:
+    """Unchecked constructor: the masks must fit ``layout`` and
+    ``0 <= phase_exp < 4``."""
+    s = _new(PauliString)
+    _set_layout(s, layout)
+    _set_x(s, x_mask)
+    _set_z(s, z_mask)
+    _set_phase(s, phase_exp)
+    return s
+
+
 def mul(p: PauliString, q: PauliString) -> PauliString:
     """Group product ``p * q`` with exact phase tracking."""
-    _check_layout(p, q)
+    layout = p.layout
+    if layout is not q.layout and layout != q.layout:
+        raise LayoutMismatchError(f"layout mismatch: {layout} vs {q.layout}")
     # per site: (X^a Z^b)(X^c Z^d) = (-1)^{b c} X^{a^c} Z^{b^d}
     swaps = (p.z_mask & q.x_mask).bit_count()
-    return PauliString(p.layout, p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask,
-                       p.phase_exp + q.phase_exp + 2 * swaps)
+    return _string(layout, p.x_mask ^ q.x_mask, p.z_mask ^ q.z_mask,
+                   (p.phase_exp + q.phase_exp + 2 * swaps) & 3)
 
 
 def commutes(p: PauliString, q: PauliString) -> bool:
@@ -226,7 +285,7 @@ class PauliSum:
         """``sum c p`` over ``(c, p)`` in ``terms``, collected in one dict."""
         acc: dict[tuple[int, int], complex] = {}
         for c, p in terms:
-            if p.layout != layout:
+            if p.layout is not layout and p.layout != layout:
                 raise LayoutMismatchError(
                     f"layout mismatch: {layout} vs {p.layout}")
             key = (p.x_mask, p.z_mask)
@@ -259,7 +318,8 @@ class PauliSum:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.layout == other.layout and (self - other).is_zero()
+        return ((self.layout is other.layout or self.layout == other.layout)
+                and (self - other).is_zero())
 
     # -- algebra -----------------------------------------------------------
 
@@ -284,9 +344,11 @@ class PauliSum:
         acc: dict[tuple[int, int], complex] = {}
         for (x1, z1), c1 in self.terms.items():
             for (x2, z2), c2 in other.terms.items():
-                swaps = (z1 & x2).bit_count()
+                c = c1 * c2  # times (-1)^swaps
+                if (z1 & x2).bit_count() & 1:
+                    c = -c
                 key = (x1 ^ x2, z1 ^ z2)
-                acc[key] = acc.get(key, 0j) + c1 * c2 * (1j ** ((2 * swaps) % 4))
+                acc[key] = acc.get(key, 0j) + c
         return PauliSum(self.layout, acc)
 
     def __str__(self) -> str:
@@ -327,22 +389,20 @@ def format_layout(layout: HilbertLayout) -> str:
     return f"L={layout.n_matter}, gauge=[{','.join(layout.gauge_slots)}]"
 
 
-def _site_token(layout: HilbertLayout, bit: int) -> str:
-    site = layout.site_of(bit)
-    return str(site) if isinstance(site, int) else f"[{site}]"
-
-
 def format_string(p: PauliString) -> str:
     """Render e.g. ``(+1i^0) X1 Z3 | L=4, gauge=[]`` (Y-folded exponent)."""
+    layout, xm, zm = p.layout, p.x_mask, p.z_mask
+    n, slots = layout.n_matter, layout.gauge_slots
     toks = []
-    for bit in set_bits(p.x_mask | p.z_mask):
-        x, z = p.x_mask >> bit & 1, p.z_mask >> bit & 1
+    for bit in set_bits(xm | zm):
+        x, z = xm >> bit & 1, zm >> bit & 1
         kind = "Y" if x and z else "X" if x else "Z"
-        toks.append(kind + _site_token(p.layout, bit))
-    n_y = (p.x_mask & p.z_mask).bit_count()
+        # matter sites by number, gauge slots by bracketed label
+        toks.append(kind + (str(bit + 1) if bit < n else f"[{slots[bit - n]}]"))
+    n_y = (xm & zm).bit_count()
     exp = (p.phase_exp - n_y) % 4  # i^p X Z = i^(p-1) Y per Y site
     body = " ".join(toks) if toks else "I"
-    return f"(+1i^{exp}) {body} | {format_layout(p.layout)}"
+    return f"(+1i^{exp}) {body} | {format_layout(layout)}"
 
 
 def format_sum(s: PauliSum) -> str:

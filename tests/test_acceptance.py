@@ -12,8 +12,8 @@ import pytest
 from wignerlab.clifford import (build_u1, build_u2, build_u_gauged,
                                 conjugate_circuit, phi1_table, phi2_table,
                                 phi_gauged_table, verify_automorphism)
-from wignerlab.dense import (DenseOperator, StateVector, materialize,
-                             random_state, transition_experiment)
+from wignerlab.dense import (StateVector, materialize, random_state,
+                             transition_experiment)
 from wignerlab.gauge import (ancilla_sector_embedding, build_d_hat,
                              build_d_noninvertible, embed_state,
                              spectral_equivalence_check)

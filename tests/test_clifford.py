@@ -125,9 +125,15 @@ def test_duality_tables_pass(build, table, L):
 def test_wrong_table_fails():
     # negative control: the first duality circuit is not the bond-set
     # automorphism implemented by the second table
-    report = verify_automorphism(build_u1(3), phi2_table(3))
+    c, table = build_u1(3), phi2_table(3)
+    report = verify_automorphism(c, table)
     assert not report["passed"]
     assert any(not e["ok"] for e in report["entries"])
+    assert any(e["ok"] for e in report["entries"])
+    for (gen, _), e in zip(table.entries, report["entries"]):
+        # "got" is the conjugated string whether or not it matches
+        assert e["got"] == str(conjugate_circuit(c, gen))
+        assert (e["got"] == e["expected"]) == e["ok"]
 
 
 def test_table_entry_coefficients_are_plus_one():

@@ -19,11 +19,10 @@ from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 build_u2, build_u_gauged)
 from wignerlab.dense import (DENSE_SITE_LIMIT, EIGENSOLVE_SITE_LIMIT,
                              ConvergenceError, DenseOperator,
-                             DimensionCapError, StateVector,
-                             hermitian_eigensolve, materialize, random_state,
-                             read_dense_binary, read_dense_csv,
-                             transition_experiment, write_dense_binary,
-                             write_dense_csv)
+                             DimensionCapError, hermitian_eigensolve,
+                             materialize, random_state, read_dense_binary,
+                             read_dense_csv, transition_experiment,
+                             write_dense_binary, write_dense_csv)
 from wignerlab.dense import hermitian_eigensolve_all
 from wignerlab.gauge import build_d_hat, build_d_noninvertible
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,

@@ -1,7 +1,6 @@
 """Hamiltonian term lists, symmetry content, Gauss laws, and the dual-variable
 identities of the gauged chains."""
 
-import numpy as np
 import pytest
 
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,

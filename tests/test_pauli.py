@@ -1,12 +1,17 @@
 """Phase-tracked Pauli algebra: group law, commutation, sums, projectors,
 and text form, all checked against kron-built dense oracles."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_string_matrix
+from wignerlab.clifford import build_u_gauged, conjugate_circuit
 from wignerlab.pauli import (LayoutMismatchError, PauliString, PauliSum,
                              ancilla_layout, commutes, eta_string,
                              format_layout, format_string, format_sum,
@@ -51,8 +56,13 @@ def test_ancilla_layout_slot():
 def test_layout_mismatch_raises():
     p = PauliString.single(matter_layout(2), "X", 1)
     q = PauliString.single(matter_layout(3), "X", 1)
-    with pytest.raises(LayoutMismatchError):
-        mul(p, q)
+    assert p != q
+    for op in (mul, commutes,
+               lambda p, q: PauliSum.from_string(p) * PauliSum.from_string(q),
+               lambda p, q: PauliSum.from_string(p) + PauliSum.from_string(q),
+               lambda p, q: PauliSum.from_strings(p.layout, [(1, q)])):
+        with pytest.raises(LayoutMismatchError):
+            op(p, q)
 
 
 def test_mask_outside_layout_rejected():
@@ -113,6 +123,69 @@ def test_square_is_phase_times_identity(p):
 def test_weight_and_coefficient():
     p = PauliString.from_sites(LAYOUT3, [("Y", 1), ("Z", 3)])
     assert p.coefficient == 1j  # stored as i * X1 Z1 Z3
+
+
+# -- value semantics -----------------------------------------------------------
+
+@settings(max_examples=100)
+@given(strings(ancilla_layout(3)), strings(ancilla_layout(3)))
+def test_products_equal_validated_strings(p, q):
+    # products, single sites and tableau rows skip the mask check; they
+    # compare and hash as the checked constructor's strings do
+    lay = p.layout
+    c = build_u_gauged(3)
+    made = [mul(p, q), conjugate_circuit(c, p), *c.images,
+            *(PauliString.single(lay, k, s) for k in "XYZ" for s in (1, "L+1"))]
+    for r in made:
+        v = PauliString(r.layout, r.x_mask, r.z_mask, r.phase_exp)
+        assert r == v and v == r and hash(r) == hash(v)
+        assert 0 <= r.phase_exp < 4
+        assert {v: True}[r]
+    assert PauliString(lay, 1, 0, 5) == PauliString(lay, 1, 0, 1)
+    assert PauliString(lay, 1, 0, 0) != PauliString(lay, 1, 0, 2)
+    assert PauliString(lay, 1, 0, 0) != (lay, 1, 0, 0)
+
+
+def test_string_is_frozen():
+    p = PauliString.single(LAYOUT3, "Y", 2)
+    for name in ("layout", "x_mask", "z_mask", "phase_exp", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(p, name, 0)
+    with pytest.raises(FrozenInstanceError):
+        del p.x_mask
+    assert (p.x_mask, p.z_mask, p.phase_exp) == (2, 2, 1)
+
+
+def test_string_copies_and_pickles():
+    lay = link_layout(2)
+    p = mul(PauliString.single(lay, "Y", 1), PauliString.single(lay, "X", "3/2"))
+    copies = [copy.copy(p), copy.deepcopy(p), copy.deepcopy({"k": [p]})["k"][0]]
+    copies += [pickle.loads(pickle.dumps(p, protocol=k))
+               for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for q in copies:
+        assert type(q) is PauliString
+        assert q == p and hash(q) == hash(p) and str(q) == str(p)
+        assert q.layout.total_sites == 4
+
+
+def test_string_and_layout_repr():
+    p = PauliString.single(matter_layout(2), "Y", 1)
+    assert repr(p) == ("PauliString(layout=HilbertLayout(n_matter=2, "
+                       "gauge_slots=()), x_mask=1, z_mask=1, phase_exp=1)")
+    assert repr(ancilla_layout(1)) == \
+        "HilbertLayout(n_matter=1, gauge_slots=('L+1',))"
+
+
+def test_equal_layouts_from_separate_calls_interoperate():
+    a, b = link_layout(3), link_layout(3)
+    assert a == b and a is not b and hash(a) == hash(b)
+    z, x = PauliString.single(a, "Z", 1), PauliString.single(b, "X", 1)
+    assert mul(z, x) == PauliString(a, 1, 1, 2)  # Z X = -X Z
+    assert not commutes(z, x)
+    s = PauliSum.from_string(z) * PauliSum.from_string(x)
+    assert s == PauliSum.from_strings(b, [(1, mul(z, x))])
+    assert PauliSum.from_string(z) + PauliSum.from_string(x) == \
+        PauliSum.from_strings(a, [(1, z), (1, x)])
 
 
 # -- sums --------------------------------------------------------------------
