@@ -1,22 +1,26 @@
 """Dense complex-matrix materialization, eigensolving, and state experiments.
 
-A Pauli string is a signed permutation of basis states: a string or sum is
-scattered into one matrix.  A circuit is built in place from a scaled
-identity: each quarter rotation ``I + i t A`` adds ``A``'s values times a
-strided, flipped view of the matrix (no gather), using one scratch matrix
-for the whole circuit, and a run of diagonal rotations is fused into one
-column scaling.  A string or sum multiplied on the right is applied the same
-way, its terms grouped by X mask.  The Hermitian eigensolver splits matrices
-into the connected components of their exact nonzero patterns, so a matrix
-in a basis that diagonalizes its symmetries is solved sector by sector, and
-solves each size class of components as one zero-padded stack by round-robin
-Jacobi, each round rotating disjoint pairs in every block at once.  An
-``antilinear`` operator acts as ``M . K`` (conjugation first).  The binary
-dump writes and reads the matrix's own bytes, without a copy.
+Every operand is built as a table of rows keyed by X mask: row ``mask``
+holds ``<c ^ mask| O |c>`` for every column ``c``, and the only dim x dim
+matrix is written once at the end.  A Pauli string is one row, a sum one row
+per distinct mask.  A circuit starts as one row and each quarter rotation
+``I + i t A`` doubles the table when ``A``'s X mask takes the mask set off
+itself, or updates the rows in place, pair by pair, when it maps the set
+onto itself; a run of diagonal rotations is fused into one column scaling.
+Strings and sums multiplied on the right act on the table the same way, and
+a dense operand is first gathered into its full table.  The Hermitian
+eigensolver splits matrices into the connected components of their exact
+nonzero patterns, so a matrix in a basis that diagonalizes its symmetries is
+solved sector by sector, and solves each size class of components as one
+zero-padded stack by round-robin Jacobi, each round rotating disjoint pairs
+in every block at once.  An ``antilinear`` operator acts as ``M . K``
+(conjugation first).  The binary dump writes and reads the matrix's own
+bytes, without a copy; the CSV dump converts all its floats in one pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordCircuit
-from .pauli import PauliString, PauliSum, set_bits
+from .pauli import PauliString, PauliSum
 
 TAU_EIG_PER_DIM = 1e-9
 JACOBI_SWEEP_CAP = 100
@@ -116,54 +120,215 @@ class SpectrumResult:
 # materialization
 # ---------------------------------------------------------------------------
 
+_SIGNS = np.array([1, -1])
+
+
 def _values(p: PauliString, cols: np.ndarray) -> np.ndarray:
     """``values`` with ``p|c> = values[c] |c ^ x_mask>``."""
-    # Z acts first in the per-site X·Z order
-    signs = 1 - 2 * (np.bitwise_count(cols & p.z_mask) & 1).astype(np.int64)
-    return (1j ** p.phase_exp) * signs
+    # Z acts first in the per-site X·Z order: the sign is the parity of c & z
+    return ((1j ** p.phase_exp) * _SIGNS)[np.bitwise_count(cols & p.z_mask) & 1]
 
 
 def _terms(obj: PauliString | PauliSum) -> PauliSum:
     return PauliSum.from_string(obj) if isinstance(obj, PauliString) else obj
 
 
-def _flipped(m: np.ndarray, x_mask: int) -> np.ndarray:
-    """Strided view of ``m``, its columns split into one size-2 axis per
-    bit (most significant first, as in C order), whose column ``c`` is
-    column ``c ^ x_mask``.
+# bytes of one chunk of table rows, small enough to stay in cache
+_CHUNK_BYTES = 1 << 18
 
-    Reversing the axes of ``x_mask``'s set bits XORs the index without a
-    gather; numpy's iterator merges each run of the other axes into one.
+
+def _chunk_rows(dim: int) -> int:
+    """Table rows of ``dim`` entries in one chunk, at least one."""
+    return max(1, _CHUNK_BYTES // (16 * dim))
+
+
+def _xor(mask: int, n: int) -> tuple[tuple[int, ...], tuple[slice, ...]]:
+    """``(shape, index)`` for an ``n``-bit axis: ``shape`` splits it into
+    runs of bits that ``mask`` sets or clears (most significant first, as in
+    C order), and ``index`` reverses the runs ``mask`` sets.
+
+    Reversing a run of bits XORs it with all ones, so the reshaped and
+    indexed view reads entry ``i`` at ``i ^ mask``, strided, not gathered.
     """
-    n = (m.shape[1] - 1).bit_length()
-    return np.flip(m.reshape(m.shape[0], *(2,) * n),
-                   axis=[n - b for b in set_bits(x_mask)])
+    shape, index = [], []
+    while n:
+        bit = mask >> (n - 1) & 1
+        run = 1
+        while run < n and mask >> (n - 1 - run) & 1 == bit:
+            run += 1
+        shape.append(1 << run)
+        index.append(slice(None, None, -1) if bit else slice(None))
+        n -= run
+    return tuple(shape), tuple(index)
 
 
-def _times_sum(m: np.ndarray, scratch: np.ndarray | None,
-               diag: np.ndarray | None, off: dict[int, np.ndarray]
-               ) -> np.ndarray | None:
-    """``m <- m (diag + sum_x off[x] X^x)`` in place, where ``diag`` scales
-    columns (None is the identity) and ``X^x`` maps column ``c`` to
-    ``c ^ x``: column ``c`` of the product is ``diag[c] m[:, c] +
-    sum_x off[x][c] m[:, c ^ x]``.  Returns the scratch buffer, ``m``'s
-    shape, allocated on first need and reused by the caller."""
-    if off:
-        if scratch is None:
-            scratch = np.empty_like(m)
-        (x, v), *rest = off.items()
-        f = _flipped(m, x)
-        np.multiply(f, v.reshape(f.shape[1:]), out=scratch.reshape(f.shape))
-        for x, v in rest:  # row by row, so no dim x dim temporary
-            f = _flipped(m, x)
-            v = v.reshape(f.shape[1:])
-            for out, row in zip(scratch.reshape(f.shape), f):
-                out += row * v
-    if diag is not None:
-        np.multiply(m, diag, out=m)
-    if off:
-        m += scratch
-    return scratch
+def _flat(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Flat indices ``(masks[i] ^ c) * dim + c`` of the entries of the table
+    rows of ``masks`` in a C-ordered dim x dim matrix: the diagonal's
+    ``c (dim + 1)`` with its row bits XORed by the mask."""
+    dim = len(cols)
+    return (masks[:, None] * dim) ^ (cols * (dim + 1))
+
+
+class _Table:
+    """An operator ``O`` on ``dim`` basis states as rows keyed by X mask:
+    ``rows[i, c] = <c ^ masks[i]| O |c>``, every other entry zero.
+
+    Multiplying on the right by ``v X^x`` moves row ``i`` to mask
+    ``masks[i] ^ x`` and reads its column ``c`` at ``c ^ x``: one ``np.take``
+    along the row, as fast for every ``x`` (a reversed view of the columns
+    runs in steps as short as ``x``'s lowest run of bits).
+
+    The table is ``linear`` when ``masks[i ^ j] == masks[i] ^ masks[j]``:
+    its masks are a subspace, listed in the order of its coordinates.  A
+    circuit's table starts as the one row of mask 0 and stays linear, since
+    a rotation either doubles it or maps it onto itself.
+    """
+
+    def __init__(self, masks: list[int], rows: np.ndarray, linear: bool) -> None:
+        self.masks, self.rows, self.linear = masks, rows, linear
+        self.index = {m: i for i, m in enumerate(masks)}
+        self.cols = np.arange(rows.shape[1])
+
+    def times(self, diag: np.ndarray | None, off: dict[int, np.ndarray]) -> None:
+        """``O <- O (diag + sum_x off[x] X^x)``, where ``diag`` scales columns
+        (None is the identity) and ``X^x`` maps column ``c`` to ``c ^ x``:
+        row ``t`` of the product is ``diag rows[t] + sum_x off[x] rows[t ^ x]``,
+        the latter read at column ``c ^ x``."""
+        if len(off) == 1 and self.linear:
+            (x, v), = off.items()
+            j = self.index.get(x)
+            if j is None:
+                self._double(diag, x, v)
+            else:
+                self._pairs(diag, j, x, v)
+        elif off:
+            self._union(diag, off)
+        elif diag is not None:
+            np.multiply(self.rows, diag, out=self.rows)
+
+    @classmethod
+    def gathered(cls, m: np.ndarray) -> "_Table":
+        """The full table of a dense matrix, row ``s`` read off the
+        diagonal ``m[c ^ s, c]``, a chunk of rows at a time."""
+        dim = len(m)
+        table = cls(list(range(dim)), np.empty((dim, dim), dtype=complex),
+                    linear=True)
+        src = np.ascontiguousarray(m).reshape(-1)
+        per = _chunk_rows(dim)
+        for a in range(0, dim, per):
+            # "clip": "raise" would buffer the output
+            src.take(_flat(table.cols[a:a + per], table.cols),
+                     out=table.rows[a:a + per], mode="clip")
+        return table
+
+    def _shifted(self, rows: np.ndarray, x: int, v: np.ndarray) -> np.ndarray:
+        """``v[c] rows[..., c ^ x]``, a new array."""
+        out = rows.take(self.cols ^ x, axis=-1, mode="clip")
+        out *= v
+        return out
+
+    def _double(self, diag: np.ndarray | None, x: int, v: np.ndarray) -> None:
+        """``x`` takes the masks off themselves: one multiply into the new
+        half, then the old half is scaled."""
+        k, dim = self.rows.shape
+        rows = np.empty((2 * k, dim), dtype=complex)
+        self.rows.take(self.cols ^ x, axis=1, out=rows[k:], mode="clip")
+        rows[k:] *= v
+        if diag is None:
+            rows[:k] = self.rows
+        else:
+            np.multiply(self.rows, diag, out=rows[:k])
+        new = [m ^ x for m in self.masks]
+        self.index.update(zip(new, range(k, 2 * k)))
+        self.masks, self.rows = self.masks + new, rows
+
+    def _pairs(self, diag: np.ndarray | None, j: int, x: int, v: np.ndarray) -> None:
+        """``x = masks[j]`` maps the masks onto themselves: row ``i`` pairs
+        with row ``i ^ j``, and the rows are updated in place, one chunk of
+        whole pairs at a time.
+
+        A ``j`` below a chunk's row count pairs rows within blocks of that
+        many rows.  A larger one splits the rows on its top bit into halves,
+        the high half reversed on ``j``'s other bits so that ``lo[i]`` pairs
+        with ``hi[i]``, and each chunk is taken from both halves at once.
+        """
+        k, dim = self.rows.shape
+        per = _chunk_rows(dim)
+        if j < per:
+            shape, flip = _xor(j, min(k, per).bit_length() - 1)
+            for a in range(0, k, per):
+                block = self.rows[a:a + per]
+                partner = self._shifted(block.reshape(*shape, dim)[flip], x, v)
+                if diag is not None:
+                    block *= diag
+                block += partner.reshape(block.shape)
+            return
+        top = 1 << (j.bit_length() - 1)
+        shape, flip = _xor(j ^ top, top.bit_length() - 1)
+        halves = self.rows.reshape(-1, 2, top, dim)
+        lo = halves[:, 0].reshape(-1, *shape, dim)
+        hi = halves[:, 1].reshape(-1, *shape, dim)[(slice(None), *flip)]
+        # a chunk fixes the axes before ``axis`` and slices ``axis``
+        axis, limit = 0, max(1, per // 2)
+        while math.prod(lo.shape[axis + 1:-1]) > limit:
+            axis += 1
+        step = max(1, limit // math.prod(lo.shape[axis + 1:-1]))
+        for at in itertools.product(*map(range, lo.shape[:axis]),
+                                    range(0, lo.shape[axis], step)):
+            at = at[:-1] + (slice(at[-1], at[-1] + step),)
+            a, b = lo[at], hi[at]
+            from_b, from_a = self._shifted(b, x, v), self._shifted(a, x, v)
+            if diag is not None:
+                a *= diag
+                b *= diag
+            a += from_b
+            b += from_a
+
+    def _union(self, diag: np.ndarray | None, off: dict[int, np.ndarray]) -> None:
+        """Any other product: the table over the union of the masks and their
+        shifts, built chunk by chunk from gathered rows (zero where a mask
+        has no row)."""
+        dim = self.rows.shape[1]
+        masks = list(dict.fromkeys(
+            self.masks + [m ^ x for x in off for m in self.masks]))
+        rows = np.empty((len(masks), dim), dtype=complex)
+        per = _chunk_rows(dim)
+        for a in range(0, len(masks), per):
+            chunk = masks[a:a + per]
+            acc = None  # the shifted terms, summed in the order of off
+            for x, v in off.items():
+                term = self._shifted(self._gather([m ^ x for m in chunk]), x, v)
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+            own = self._gather(chunk)
+            if diag is not None:
+                own *= diag
+            own += acc
+            rows[a:a + per] = own
+        self.masks, self.rows, self.linear = masks, rows, False
+        self.index = {m: i for i, m in enumerate(masks)}
+
+    def _gather(self, masks: list[int]) -> np.ndarray:
+        """A copy of the rows of ``masks``, zero for a mask with no row."""
+        at = [self.index.get(m, -1) for m in masks]
+        out = self.rows[at]
+        out[[i < 0 for i in at]] = 0
+        return out
+
+    def matrix(self) -> np.ndarray:
+        """The one dim x dim matrix: each row scattered onto its diagonal,
+        a chunk of rows at a time."""
+        k, dim = self.rows.shape
+        masks = np.asarray(self.masks)
+        m = np.zeros((dim, dim), dtype=complex)
+        flat = m.reshape(-1)
+        per = _chunk_rows(dim)
+        for a in range(0, k, per):
+            flat[_flat(masks[a:a + per], self.cols)] = self.rows[a:a + per]
+        return m
 
 
 def materialize(obj: PauliString | PauliSum | CliffordCircuit | DenseOperator,
@@ -171,12 +336,15 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit | DenseOperator,
     """Explicit complex matrix of a string, sum, circuit or linear dense
     operator (copied), times each string or sum in ``right``, left to right.
 
-    A string or sum is scattered into a zero matrix.  A circuit starts from
-    its global phase and ``2^(-k/2)`` for its ``k`` quarter rotations times
-    the identity and is multiplied on the right, in place, by each rotation
-    ``I + i t A``; a run of diagonal rotations is fused into one column
-    scaling.  Each right factor is grouped by X mask and applied in place
-    the same way.  A dense operator takes its layout from ``right``.
+    Every operand is built as a ``_Table`` of rows keyed by X mask, and the
+    only dim x dim matrix is written once at the end.  A string is one row
+    and a sum one row per distinct mask.  A circuit starts as one row, its
+    global phase times ``2^(-k/2)`` for its ``k`` quarter rotations, and is
+    multiplied on the right by each rotation ``I + i t A``; a run of
+    diagonal rotations is fused into one column scaling.  Each right factor
+    is grouped by X mask and multiplies the table the same way.  A dense
+    operator is gathered into its full table and takes its layout from
+    ``right``.
     """
     dense_left = isinstance(obj, DenseOperator)
     if dense_left and (obj.antilinear or not right or right[0].layout.dim != obj.dim):
@@ -187,31 +355,35 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit | DenseOperator,
     check_limit(layout.total_sites, "dense")
     dim = layout.dim
     cols = np.arange(dim)
-    m = obj.matrix.copy() if dense_left else np.zeros((dim, dim), dtype=complex)
-    scratch = None
-    if isinstance(obj, CliffordCircuit):
-        np.fill_diagonal(m, np.exp(obj.phase * 1j * math.pi / 4)
-                         * 2.0 ** (-len(obj.factors) / 2))
+    if dense_left:
+        table = _Table.gathered(obj.matrix)
+    elif isinstance(obj, CliffordCircuit):
+        table = _Table([0], np.full((1, dim), np.exp(obj.phase * 1j * math.pi / 4)
+                                    * 2.0 ** (-len(obj.factors) / 2)), linear=True)
         diag = None  # product of the pending run of diagonal rotations
         for axis, sign in obj.factors:  # leftmost factor first in the product
             v = (1j * sign) * _values(axis, cols)
             if not axis.x_mask:
                 diag = 1 + v if diag is None else diag * (1 + v)
                 continue
-            if diag is not None:  # m D (I + v X^x) = m (D + (v D[c ^ x]) X^x)
+            if diag is not None:  # O D (I + v X^x) = O (D + (v D[c ^ x]) X^x)
                 v *= diag[cols ^ axis.x_mask]
-            scratch = _times_sum(m, scratch, diag, {axis.x_mask: v})
+            table.times(diag, {axis.x_mask: v})
             diag = None
-        _times_sum(m, scratch, diag, {})
-    elif not dense_left:
-        for c, p in _terms(obj):
-            m[cols ^ p.x_mask, cols] += c * _values(p, cols)
+        table.times(diag, {})
+    else:
+        terms = _terms(obj)
+        masks = list(dict.fromkeys(p.x_mask for _, p in terms))
+        table = _Table(masks, np.zeros((len(masks), dim), dtype=complex),
+                       linear=False)
+        for c, p in terms:
+            table.rows[table.index[p.x_mask]] += c * _values(p, cols)
     for factor in right:
         groups: dict[int, np.ndarray] = {}
         for c, p in _terms(factor):
             groups[p.x_mask] = groups.get(p.x_mask, 0) + c * _values(p, cols)
-        scratch = _times_sum(m, scratch, groups.pop(0, np.zeros(dim)), groups)
-    return DenseOperator(m)
+        table.times(groups.pop(0, np.zeros(dim)), groups)
+    return DenseOperator(table.matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +543,9 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
     couples to nothing, so every rotation touching it is skipped, an exact
     identity, and a block's eigenpairs are its first ``n`` positions.
 
-    Eigenvalues ascend with their eigenvector columns; each residual is
-    against the operator's whole input.  ``sweep_cap`` applies to each block;
+    Eigenvalues ascend with their eigenvector columns; the residual is the
+    largest ``|A v - lambda v|`` over the operator's eigenpairs, each taken
+    against its own block of the input.  ``sweep_cap`` applies to each block;
     ``sweeps`` is the most any of the operator's own blocks took.  Raises
     before any sweep past the eigensolve site limit or on non-Hermitian
     input, and if a block does not converge.
@@ -391,23 +564,26 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
         for idx in comps:
             classes.setdefault((len(idx) - 1).bit_length(), []).append((i, idx))
     vals, vecs = [np.zeros(len(a)) for a in mats], [np.zeros_like(a) for a in mats]
-    sweeps = [0] * len(mats)
+    sweeps, residuals = [0] * len(mats), [0.0] * len(mats)
     for members in classes.values():
         m = max(len(idx) for _, idx in members)
         stack = np.zeros((len(members), m, m), dtype=complex)
         for block, (i, idx) in zip(stack, members):
             block[:len(idx), :len(idx)] = mats[i][np.ix_(idx, idx)]
         w, v, took = _jacobi(stack, sweep_cap)
+        # the input is zero between blocks and a pad row of v is zero, so
+        # each column's residual is its block's
+        res = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
         for j, (i, idx) in enumerate(members):
             vals[i][idx] = w[j, :len(idx)]
             vecs[i][np.ix_(idx, idx)] = v[j, :len(idx), :len(idx)]
             sweeps[i] = max(sweeps[i], int(took[j]))
+            residuals[i] = max(residuals[i], float(res[j, :len(idx)].max()))
     out = []
-    for a, val, vec, s, comps in zip(mats, vals, vecs, sweeps, blocks):
+    for val, vec, s, r, comps in zip(vals, vecs, sweeps, residuals, blocks):
         order = np.argsort(val, kind="stable")
-        val, vec = val[order], vec[:, order]
-        residual = float(np.max(np.linalg.norm(a @ vec - vec * val, axis=0))) if len(a) else 0.0
-        out.append(SpectrumResult(val, vec, residual, s, tuple(map(len, comps))))
+        out.append(SpectrumResult(val[order], vec[:, order], r, s,
+                                  tuple(map(len, comps))))
     return out
 
 
@@ -436,23 +612,25 @@ def transition_experiment(d: DenseOperator,
     """Transformed vs reference transition probabilities per state pair.
 
     The reference for a linear operator is |<beta|alpha>|^2; for an
-    antilinear one it is |<alpha|beta>|^2 (equal in modulus).
+    antilinear one it is |<alpha|beta>|^2 (equal in modulus).  ``d`` acts on
+    every alpha in one product and on every beta in another, and the
+    overlaps are taken column by column.
     """
-    rows = []
-    for alpha, beta in pairs:
-        if alpha.dim != d.dim or beta.dim != d.dim:
-            raise ValueError("state/operator dimension mismatch")
-        ta = d.apply(alpha.amplitudes)
-        tb = d.apply(beta.amplitudes)
-        p_t = abs(np.vdot(tb, ta)) ** 2
-        if d.antilinear:
-            p_ref = abs(np.vdot(alpha.amplitudes, beta.amplitudes)) ** 2
-        else:
-            p_ref = abs(np.vdot(beta.amplitudes, alpha.amplitudes)) ** 2
-        rows.append({"p_transformed": float(p_t), "p_reference": float(p_ref),
-                     "deviation": float(abs(p_t - p_ref))})
-    return {"pairs": rows,
-            "max_deviation": max((r["deviation"] for r in rows), default=0.0)}
+    if any(a.dim != d.dim or b.dim != d.dim for a, b in pairs):
+        raise ValueError("state/operator dimension mismatch")
+    if not pairs:
+        return {"pairs": [], "max_deviation": 0.0}
+    alpha = np.stack([a.amplitudes for a, _ in pairs], axis=1)
+    beta = np.stack([b.amplitudes for _, b in pairs], axis=1)
+    ta, tb = d.apply(alpha), d.apply(beta)
+    p_t = np.abs(np.einsum("ij,ij->j", tb.conj(), ta)) ** 2
+    if d.antilinear:
+        p_ref = np.abs(np.einsum("ij,ij->j", alpha.conj(), beta)) ** 2
+    else:
+        p_ref = np.abs(np.einsum("ij,ij->j", beta.conj(), alpha)) ** 2
+    rows = [{"p_transformed": float(t), "p_reference": float(r),
+             "deviation": float(abs(t - r))} for t, r in zip(p_t, p_ref)]
+    return {"pairs": rows, "max_deviation": max(r["deviation"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +670,27 @@ def read_dense_binary(path: str) -> np.ndarray:
 
 
 def write_dense_csv(path: str, m: np.ndarray) -> None:
-    m = np.asarray(m, dtype=complex)
+    """One text line per row of ``m`` (a vector is one row), one ``re;im``
+    cell per entry, each float written as its ``repr``."""
+    m = np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=complex)))
+    text = list(map(repr, m.view(np.float64).ravel().tolist()))
+    cells = list(map(";".join, zip(text[::2], text[1::2])))
+    width = m.shape[1]
     with open(path, "w") as fh:
-        for row in np.atleast_2d(m):
-            fh.write(",".join(f"{float(v.real)!r};{float(v.imag)!r}"
-                              for v in row) + "\n")
+        fh.write("".join(",".join(cells[i * width:(i + 1) * width]) + "\n"
+                         for i in range(m.shape[0])))
 
 
 def read_dense_csv(path: str) -> np.ndarray:
-    rows = []
+    """Read a ``write_dense_csv`` dump, blank lines skipped, every float of
+    every cell converted in one call; rows must hold equally many cells."""
     with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rows.append([complex(float(re), float(im))
-                         for re, im in (cell.split(";") for cell in line.strip().split(","))])
-    return np.array(rows, dtype=complex)
+        rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        return np.array([], dtype=complex)
+    width = len(rows[0])
+    if any(len(row) != width or any(cell.count(";") != 1 for cell in row)
+           for row in rows):
+        raise ValueError("every row must hold the same number of re;im cells")
+    text = ";".join(";".join(row) for row in rows).split(";")
+    return np.array(text, dtype=np.float64).view(complex).reshape(len(rows), width)

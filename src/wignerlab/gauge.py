@@ -17,9 +17,19 @@ from .pauli import PauliSum, ancilla_layout, matter_layout, symmetry_projector
 
 @dataclass(frozen=True)
 class SectorEmbedding:
-    """Isometric inclusion of the physical space into one gauge sector."""
+    """Isometric inclusion of the physical space into one gauge sector:
+    basis state ``a`` goes to ``offset + a`` of a ``target_dim`` space."""
     source_dim: int
-    isometry: np.ndarray  # (target dim) x source_dim, orthonormal columns
+    target_dim: int
+    offset: int
+
+    @property
+    def isometry(self) -> np.ndarray:
+        """The (target dim) x source_dim inclusion matrix, orthonormal
+        columns, built on each call."""
+        iota = np.zeros((self.target_dim, self.source_dim), dtype=complex)
+        iota[self.offset:self.offset + self.source_dim] = np.eye(self.source_dim)
+        return iota
 
 
 def ancilla_sector_embedding(L: int, sign: int) -> SectorEmbedding:
@@ -28,16 +38,16 @@ def ancilla_sector_embedding(L: int, sign: int) -> SectorEmbedding:
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     d = 1 << L
-    iota = np.zeros((2 * d, d), dtype=complex)
-    offset = 0 if sign > 0 else d
-    iota[offset:offset + d, :] = np.eye(d)
-    return SectorEmbedding(d, iota)
+    return SectorEmbedding(d, 2 * d, 0 if sign > 0 else d)
 
 
 def embed_state(alpha: StateVector, e: SectorEmbedding) -> StateVector:
+    """``alpha`` copied into the sector's slice of a zero vector."""
     if alpha.dim != e.source_dim:
         raise ValueError("state dimension does not match embedding source")
-    return StateVector(e.isometry @ alpha.amplitudes)
+    psi = np.zeros(e.target_dim, dtype=complex)
+    psi[e.offset:e.offset + e.source_dim] = alpha.amplitudes
+    return StateVector(psi)
 
 
 def build_d_noninvertible(L: int, sign: int,

@@ -118,7 +118,9 @@ def test_right_factors_multiply_left_to_right():
 
 
 def oracle_sum_matrix(s: PauliSum) -> np.ndarray:
-    return sum(c * oracle_string_matrix(p) for c, p in s)
+    dim = s.layout.dim
+    return sum((c * oracle_string_matrix(p) for c, p in s),
+               np.zeros((dim, dim), dtype=complex))
 
 
 def rotations(layout):
@@ -172,6 +174,102 @@ def test_right_factors_with_shared_x_masks_match_oracle(layout):
             assert np.allclose(got, want_left @ want_s @ want_s, atol=1e-12)
 
 
+def _span(masks) -> set[int]:
+    """Every XOR of a subset of ``masks``: the X masks a product can reach."""
+    span = {0}
+    for m in masks:
+        span |= {s ^ m for s in span}
+    return span
+
+
+def low_rotations(layout, bits: int):
+    """Quarter rotations whose X masks stay on the lowest ``bits`` sites."""
+    def axis(x, z, neg):
+        return PauliString(layout, x, z, (x & z).bit_count() % 2 + 2 * neg)
+    axes = st.builds(axis, st.integers(0, (1 << bits) - 1),
+                     st.integers(0, layout.dim - 1), st.integers(0, 1))
+    return st.builds(QuarterRotation, axes, st.sampled_from([1, -1]))
+
+
+def factor_sums(layout, masks):
+    """Sums of one or two terms on each X mask in ``masks``."""
+    coeff = st.floats(-2, 2, allow_nan=False)
+
+    def on(x):
+        return st.builds(lambda z, phase, re, im: (complex(re, im),
+                                                   PauliString(layout, x, z, phase)),
+                         st.integers(0, layout.dim - 1), st.integers(0, 3),
+                         coeff, coeff)
+    return st.tuples(*(st.lists(on(x), min_size=1, max_size=2) for x in masks)).map(
+        lambda groups: PauliSum.from_strings(layout, [t for g in groups for t in g]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(),
+       layout=st.sampled_from([matter_layout(5), ancilla_layout(3), link_layout(2)]),
+       where=st.sampled_from(["inside", "outside", "partly"]))
+def test_circuit_times_factors_in_and_out_of_its_masks_match_oracle(data, layout, where):
+    # the circuit's X masks span a strict subspace; each right factor's
+    # masks lie inside it (rows updated in pairs), outside it (the table
+    # doubles) or both (the union)
+    n = layout.total_sites
+    c = CliffordCircuit(layout, tuple(data.draw(
+        st.lists(low_rotations(layout, n - 2), max_size=6))))
+    span = _span(axis.x_mask for axis, _ in c.factors)
+    inside = sorted(span)
+    outside = [m for m in range(layout.dim) if m not in span]
+    pick = {"inside": [inside], "outside": [outside],
+            "partly": [inside, outside]}[where]
+    factors = [data.draw(factor_sums(layout, [data.draw(st.sampled_from(ms))
+                                              for ms in pick]))
+               for _ in range(data.draw(st.integers(1, 2)))]
+    want = oracle_circuit_matrix(c)
+    for f in factors:
+        want = want @ oracle_sum_matrix(f)
+    got = materialize(c, *factors).matrix
+    assert np.max(np.abs(got - want), initial=0) < 1e-12
+
+
+def test_dense_left_operand_times_two_factors_matches_oracle():
+    layout = ancilla_layout(3)
+    rng = np.random.default_rng(13)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    s = PauliSum.from_strings(layout, [
+        (0.5, PauliString(layout, 0, 0b0110)), (-1.5j, PauliString(layout, 0b1001, 0b0011, 1)),
+        (2.0, PauliString(layout, 0b0100, 0b1000, 2))])
+    p = PauliString(layout, 0b1111, 0b0101, 3)
+    got = materialize(DenseOperator(m), s, p).matrix
+    assert np.allclose(got, m @ oracle_sum_matrix(s) @ oracle_string_matrix(p),
+                       atol=1e-12)
+    # a built circuit taken back as a dense operand gives the same bytes
+    u = build_u_gauged(3)
+    assert (materialize(materialize(u), s, p).matrix.tobytes()
+            == materialize(u, s, p).matrix.tobytes())
+
+
+def _chunked_operators():
+    """Operators that take every path of the table: doubling, pairs within
+    blocks or across halves, the union, the gather and the scatter."""
+    lay = matter_layout(4)
+    s = PauliSum.from_strings(lay, [(0.5, PauliString(lay, 0b0011, 0b0101)),
+                                    (-2j, PauliString(lay, 0b1000, 0b0001, 1)),
+                                    (1.5, PauliString(lay, 0, 0b1100))])
+    return [materialize(build_u1(4)), materialize(build_u_gauged(3)),
+            build_d_noninvertible(4, 1), build_d_hat(3, -1),
+            build_d_noninvertible(4, -1, materialize(build_u2(4))),
+            materialize(build_hamiltonian(ModelSpec(Family.OPEN_H1, 4))),
+            materialize(CliffordCircuit(lay, (Hadamard(1), ControlledX(1, 2))), s, s)]
+
+
+@pytest.mark.parametrize("chunk", [16, 64, 512])
+def test_chunk_size_does_not_change_the_bytes(monkeypatch, chunk):
+    # small chunks split tables of 16 rows into chunks of 1 to 2 rows, the
+    # way chunks split large tables
+    want = [op.matrix.tobytes() for op in _chunked_operators()]
+    monkeypatch.setattr(dense, "_CHUNK_BYTES", chunk)
+    assert [op.matrix.tobytes() for op in _chunked_operators()] == want
+
+
 @pytest.mark.parametrize("L", range(2, 7))
 @pytest.mark.parametrize("sign", [1, -1])
 def test_d_operators_equal_circuit_times_projector(L, sign):
@@ -191,16 +289,22 @@ def test_d_operators_equal_circuit_times_projector(L, sign):
             assert np.allclose(d_hat.matrix, want, atol=1e-13)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: materialize(build_u1(9)),
-    lambda: build_d_noninvertible(9, 1), lambda: build_d_noninvertible(9, -1),
-    lambda: build_d_hat(8, 1), lambda: build_d_hat(8, -1)],
-    ids=["u1-9", "d+9", "d-9", "d_hat+8", "d_hat-8"])
-def test_materialize_peak_is_result_and_one_scratch(make):
-    # the result and one scratch matrix, plus numpy's fixed ufunc buffers
+@pytest.mark.parametrize("setup,make", [
+    (tuple, lambda: materialize(build_u1(9))),
+    (tuple, lambda: build_d_noninvertible(9, 1)),
+    (tuple, lambda: build_d_noninvertible(9, -1)),
+    (tuple, lambda: build_d_hat(8, 1)), (tuple, lambda: build_d_hat(8, -1)),
+    (tuple, lambda: materialize(build_u2(10))),
+    (lambda: (materialize(build_u2(9)),), lambda u2: build_d_noninvertible(9, 1, u2)),
+    (lambda: (materialize(build_u2(9)),), lambda u2: build_d_noninvertible(9, -1, u2))],
+    ids=["u1-9", "d+9", "d-9", "d_hat+8", "d_hat-8", "u2-10", "d+9-dense", "d-9-dense"])
+def test_materialize_peak_is_result_and_one_scratch(setup, make):
+    # the table and the result, plus one chunk of rows or indices; a dense
+    # operand is built before measuring
+    args = setup()
     tracemalloc.start()
     try:
-        op = make()
+        op = make(*args)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -539,6 +643,20 @@ def test_sweeps_count_only_the_operators_own_blocks(monkeypatch):
     assert np.array_equal(diag.eigenvalues, [1.0, 2.0, 5.0])
 
 
+def test_residual_is_the_whole_matrix_residual():
+    # taken per block, it is the largest |A v - lambda v| over the whole input
+    rng = np.random.default_rng(47)
+    m = block_diag(*(_random_hermitian(rng, n) for n in (5, 9, 3, 9)))
+    perm = rng.permutation(len(m))
+    for a in (m[np.ix_(perm, perm)], np.diag([3.0, -1.0, 2.0]),
+              materialize(eigensolve_hamiltonian(
+                  ModelSpec(Family.FULLY_GAUGED_HG, 4))).matrix):
+        res = hermitian_eigensolve(a)
+        v, w = res.eigenvectors, res.eigenvalues
+        want = float(np.max(np.linalg.norm(a @ v - v * w, axis=0)))
+        assert abs(res.residual - want) <= 1e-15 * max(1.0, np.linalg.norm(a))
+
+
 def test_eigensolver_rejects_non_hermitian():
     with pytest.raises(ValueError):
         hermitian_eigensolve(np.array([[0.0, 1.0], [0.0, 0.0]]))
@@ -572,6 +690,43 @@ def test_antiunitary_preserves_transition_probabilities():
     u = DenseOperator(materialize(build_u2(3)).matrix, antilinear=True)
     pairs = [(random_state(8, s), random_state(8, s + 100)) for s in range(20)]
     assert transition_experiment(u, pairs)["max_deviation"] < 1e-12
+
+
+def _transitions_pair_by_pair(d, pairs):
+    """The transition experiment one pair at a time, each vector applied
+    alone: the oracle for the batched products."""
+    rows = []
+    for alpha, beta in pairs:
+        a, b = alpha.amplitudes, beta.amplitudes
+        ta, tb = d.apply(a), d.apply(b)
+        p_ref = abs(np.vdot(a, b) if d.antilinear else np.vdot(b, a)) ** 2
+        rows.append((abs(np.vdot(tb, ta)) ** 2, p_ref))
+    return rows
+
+
+@pytest.mark.parametrize("antilinear", [False, True])
+def test_batched_transitions_match_pair_by_pair(antilinear):
+    rng = np.random.default_rng(19)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    d = DenseOperator(m / np.linalg.norm(m, 2), antilinear)  # a contraction
+    pairs = [(random_state(16, s), random_state(16, s + 100)) for s in range(12)]
+    rep = transition_experiment(d, pairs)
+    want = _transitions_pair_by_pair(d, pairs)
+    assert len(rep["pairs"]) == len(want)
+    for row, (p_t, p_ref) in zip(rep["pairs"], want):
+        # probabilities at most 1: a few roundings of a double apart
+        assert abs(row["p_transformed"] - p_t) < 1e-15
+        assert abs(row["p_reference"] - p_ref) < 1e-15
+        assert row["deviation"] == abs(row["p_transformed"] - row["p_reference"])
+    assert rep["max_deviation"] == max(r["deviation"] for r in rep["pairs"])
+
+
+def test_transitions_without_pairs_and_on_a_wrong_dimension():
+    d = DenseOperator(np.eye(4))
+    assert transition_experiment(d, []) == {"pairs": [], "max_deviation": 0.0}
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        transition_experiment(d, [(random_state(4, 0), random_state(4, 1)),
+                                  (random_state(4, 2), random_state(8, 3))])
 
 
 def test_projector_violates_transition_probabilities():
@@ -631,6 +786,53 @@ def test_csv_dump_roundtrip(tmp_path):
     path = tmp_path / "m.csv"
     write_dense_csv(path, m)
     assert np.array_equal(read_dense_csv(path), m)
+
+
+def _csv_text_cell_by_cell(m) -> str:
+    """The CSV text written one cell at a time: the reference for the
+    vectorized writer."""
+    return "".join(",".join(f"{float(v.real)!r};{float(v.imag)!r}" for v in row)
+                   + "\n" for row in np.atleast_2d(np.asarray(m, dtype=complex)))
+
+
+@pytest.mark.parametrize("shape", [(10, 1), (1, 10), (2, 5), (5, 2)])
+def test_csv_dump_roundtrip_is_bit_exact(tmp_path, shape):
+    bits = np.array([0x8000000000000000, 0x0000000000000000,   # -0.0, 0.0
+                     0x0000000000000001, 0x8000000000000001,   # smallest subnormals
+                     0x000FFFFFFFFFFFFF, 0x0010000000000000,   # largest subnormal, smallest normal
+                     0x7FEFFFFFFFFFFFFF, 0xFFEFFFFFFFFFFFFF,   # +-largest finite
+                     0x7FF0000000000000, 0xFFF0000000000000,   # +-inf
+                     0x3FB999999999999A, 0x3FD5555555555555,   # 0.1, 1/3
+                     0x44B52D02C7E14AF6, 0x0031FA182C40C60D,   # 1e23, 1e-307
+                     0xC34FFFFFFFFFFFFF, 0x4340000000000001,   # near 2^53
+                     0x1, 0x7FE0000000000000, 0xBFF0000000000000, 0x3FF0000000000000],
+                    dtype=np.uint64)
+    m = bits.view(np.complex128).reshape(shape)
+    path = tmp_path / "m.csv"
+    write_dense_csv(path, m)
+    assert path.read_text() == _csv_text_cell_by_cell(m)
+    got = read_dense_csv(path)
+    assert got.shape == shape
+    assert np.array_equal(got.view(np.uint64), m.view(np.uint64))
+
+
+def test_csv_dump_vector_and_empty_shapes(tmp_path):
+    path = tmp_path / "m.csv"
+    for m in (np.arange(3) + 0.5j, np.zeros((2, 0)), np.zeros((0, 3))):
+        write_dense_csv(path, m)
+        assert path.read_text() == _csv_text_cell_by_cell(m)
+    write_dense_csv(path, np.arange(3) + 0.5j)  # a vector is one row
+    assert read_dense_csv(path).shape == (1, 3)
+
+
+@pytest.mark.parametrize("text", ["1.0;2.0,3.0;4.0\n5.0;6.0\n", "1.0;2.0;3.0\n",
+                                  "1.0,2.0\n", "1.0;x\n"],
+                         ids=["ragged", "three-parts", "no-imaginary", "not-a-float"])
+def test_csv_read_rejects_malformed_cells(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        read_dense_csv(path)
 
 
 def test_binary_dump_rejects_bad_magic(tmp_path):

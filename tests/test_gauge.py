@@ -49,6 +49,16 @@ def test_sector_projector_fixes_embedded_states():
         assert np.allclose(p.matrix @ psi, psi)
 
 
+@pytest.mark.parametrize("L", [2, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_embed_state_is_isometry_times_state(L, sign):
+    e = ancilla_sector_embedding(L, sign)
+    for seed in range(3):
+        alpha = random_state(1 << L, seed)
+        got = embed_state(alpha, e).amplitudes
+        assert got.tobytes() == (e.isometry @ alpha.amplitudes).tobytes()
+
+
 def test_embed_state_dimension_check():
     with pytest.raises(ValueError):
         embed_state(random_state(4, 0), ancilla_sector_embedding(3, 1))
