@@ -25,7 +25,7 @@ from .dense import (TAU_EIG_PER_DIM, ConvergenceError, DenseOperator,
                     DimensionCapError, StateVector, check_limit,
                     hermitian_eigensolve, materialize, over_limit, random_state,
                     transition_experiment, write_dense_binary, write_dense_csv)
-from .gauge import (ancilla_sector_embedding, build_d_hat,
+from .gauge import (SectorEmbedding, ancilla_sector_embedding, build_d_hat,
                     build_d_noninvertible, embed_state, gauss_sector_projector,
                     sector_blocks, spectral_equivalence_check)
 from .models import (Family, ModelSpec, build_hamiltonian,
@@ -184,7 +184,7 @@ def polar_checks(L: int, sign: int, seed: int, tol_scale: float = 1.0) -> list[d
 
     d_hat = build_d_hat(L, sign)
     emb = ancilla_sector_embedding(L, sign)
-    rep = verify_theorem_structure(d_hat, emb.isometry)
+    rep = verify_theorem_structure(d_hat, emb)
     out.append(_bool_check(f"D_hat rank = {1 << L}", rep["rank"] == 1 << L,
                            rep["rank"]))
     out.append(_bool_check("D_hat non-invertible", not rep["invertible"]))
@@ -196,15 +196,13 @@ def polar_checks(L: int, sign: int, seed: int, tol_scale: float = 1.0) -> list[d
                       rep["projector_identity_error"], 1e-9 * tol_scale))
 
     d = build_d_noninvertible(L, sign)
-    full = np.eye(1 << L, dtype=complex)
-    neg = verify_theorem_structure(d, full)
+    neg = verify_theorem_structure(d, SectorEmbedding(d.dim, d.dim, 0))
     out.append(_bool_check("D on matter space fails the identity-block check",
                            neg["block_identity_error"] > 1e-3,
                            neg["block_identity_error"]))
 
     hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
-    cor = corollary_check(hg, rep["factors"], emb.isometry,
-                          tol=1e-9 * tol_scale)
+    cor = corollary_check(hg, rep["factors"], emb, tol=1e-9 * tol_scale)
     if cor["status"] == "skipped":
         out.append(_skip("corollary P_H [H_G, U_hat] P_H", cor["reason"]))
     else:
@@ -304,6 +302,8 @@ def _emit(command: str, config: dict, checks: list[dict],
             mark = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}[c["status"]]
             detail = "" if c["measured"] is None else \
                 f"  measured={c['measured']!r} threshold={c['threshold']!r}"
+            if c.get("reason"):
+                detail += f"  reason={c['reason']}"
             lines.append(f"{mark}  {c['name']}{detail}")
         lines.append(f"{sum(c['status'] == 'pass' for c in checks)} passed, "
                      f"{sum(c['status'] == 'fail' for c in checks)} failed, "

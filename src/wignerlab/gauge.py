@@ -23,13 +23,15 @@ class SectorEmbedding:
     target_dim: int
     offset: int
 
+    def __post_init__(self):
+        if not (self.source_dim >= 1 and self.offset >= 0
+                and self.offset + self.source_dim <= self.target_dim):
+            raise ValueError("sector does not fit in the target space")
+
     @property
-    def isometry(self) -> np.ndarray:
-        """The (target dim) x source_dim inclusion matrix, orthonormal
-        columns, built on each call."""
-        iota = np.zeros((self.target_dim, self.source_dim), dtype=complex)
-        iota[self.offset:self.offset + self.source_dim] = np.eye(self.source_dim)
-        return iota
+    def rows(self) -> slice:
+        """The sector's basis indices in the target space."""
+        return slice(self.offset, self.offset + self.source_dim)
 
 
 def ancilla_sector_embedding(L: int, sign: int) -> SectorEmbedding:
@@ -46,7 +48,7 @@ def embed_state(alpha: StateVector, e: SectorEmbedding) -> StateVector:
     if alpha.dim != e.source_dim:
         raise ValueError("state dimension does not match embedding source")
     psi = np.zeros(e.target_dim, dtype=complex)
-    psi[e.offset:e.offset + e.source_dim] = alpha.amplitudes
+    psi[e.rows] = alpha.amplitudes
     return StateVector(psi)
 
 
@@ -136,7 +138,7 @@ def spectral_equivalence_check(L: int) -> dict:
 
 def sector_blocks(op: DenseOperator, L: int) -> tuple[np.ndarray, np.ndarray]:
     """(+, -) ancilla blocks of an operator on the minimally gauged space."""
-    d = 1 << L
-    if op.dim != 2 * d:
+    if op.dim != 2 << L:
         raise ValueError("operator is not on the ancilla layout")
-    return op.matrix[:d, :d], op.matrix[d:, d:]
+    plus, minus = (ancilla_sector_embedding(L, sign).rows for sign in (1, -1))
+    return op.matrix[plus, plus], op.matrix[minus, minus]

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import DenseOperator, hermitian_eigensolve_all
+from .gauge import SectorEmbedding
 
 TAU_RANK_REL = 1e-10
 
@@ -117,33 +118,29 @@ def polar_decompose(a: DenseOperator | np.ndarray) -> PolarFactors:
     return polar_decompose_all([a])[0]
 
 
-def verify_theorem_structure(d: DenseOperator, isometry: np.ndarray,
+def verify_theorem_structure(d: DenseOperator, sector: SectorEmbedding,
                              tol: float = 1e-9) -> dict:
     """Block-structure checks on the PSD polar factor of a candidate symmetry.
 
-    With iota the isometric embedding of the physical space, checks that
-    (i) the embedded block of P_hat is the identity, (ii) P_hat^2 has no
-    matrix elements between the embedded space and its complement, and
-    (iii) P_H P_hat = P_hat P_H = P_H.  The report carries the polar
-    ``factors`` so that a later check on the same operator reuses them.
+    With P_H the projector on the embedded sector, checks that (i) the
+    sector's block of P_hat is the identity, (ii) P_hat^2 has no matrix
+    elements between the sector and its complement, and (iii) P_H P_hat =
+    P_hat P_H = P_H.  Each is read from the sector's rows and columns.  The
+    report carries the polar ``factors`` so that a later check on the same
+    operator reuses them.
     """
-    iota = np.asarray(isometry, dtype=complex)
-    if iota.shape[0] != d.dim:
-        raise ValueError("embedding dimension exceeds or mismatches operator")
-    if iota.shape[1] > iota.shape[0]:
-        raise ValueError("embedded space larger than total space")
+    if sector.target_dim != d.dim:
+        raise ValueError("sector and operator dimensions differ")
     factors = polar_decompose(d)
     p_hat = factors.psd_part.matrix
-    p_h = iota @ iota.conj().T
-    k = iota.shape[1]
+    sec = sector.rows
+    rest = np.r_[:sec.start, sec.stop:d.dim]
+    eye = np.eye(d.dim)
 
-    block_identity_error = float(np.linalg.norm(
-        iota.conj().T @ p_hat @ iota - np.eye(k)))
-    p2 = p_hat @ p_hat
-    perp = np.eye(d.dim) - p_h
-    offdiag_error = float(np.linalg.norm(perp @ p2 @ p_h))
-    proj_error = float(max(np.linalg.norm(p_h @ p_hat - p_h),
-                           np.linalg.norm(p_hat @ p_h - p_h)))
+    block_identity_error = float(np.linalg.norm(p_hat[sec, sec] - eye[sec, sec]))
+    offdiag_error = float(np.linalg.norm(p_hat[rest] @ p_hat[:, sec]))
+    proj_error = float(max(np.linalg.norm(p_hat[sec] - eye[sec]),
+                           np.linalg.norm(p_hat[:, sec] - eye[:, sec])))
     return {
         "reconstruction_error": float(np.linalg.norm(
             factors.unitary_part.matrix @ p_hat - d.matrix)),
@@ -160,24 +157,28 @@ def verify_theorem_structure(d: DenseOperator, isometry: np.ndarray,
 
 
 def corollary_check(h_g: DenseOperator, d: DenseOperator | PolarFactors,
-                    isometry: np.ndarray, tol: float = 1e-9) -> dict:
-    """P_H [H_G, U_hat] P_H must vanish when [H_G, P_H] = 0.
+                    sector: SectorEmbedding, tol: float = 1e-9) -> dict:
+    """P_H [H_G, U_hat] P_H must vanish when [H_G, P_H] = 0, with P_H the
+    projector on the embedded sector.
 
     ``d`` is the operator or, when already computed, its polar factors.  The
-    precondition is verified first; on violation the check is reported as
+    precondition, H_G's blocks between the sector and its complement
+    vanishing, is verified first; on violation the check is reported as
     skipped.
     """
-    iota = np.asarray(isometry, dtype=complex)
-    p_h = iota @ iota.conj().T
+    if sector.target_dim != h_g.dim:
+        raise ValueError("sector and operator dimensions differ")
+    sec = sector.rows
+    rest = np.r_[:sec.start, sec.stop:h_g.dim]
     hg = h_g.matrix
     scale = max(float(np.linalg.norm(hg)), 1.0)
-    pre = float(np.linalg.norm(hg @ p_h - p_h @ hg))
+    pre = float(np.hypot(np.linalg.norm(hg[rest, sec]),
+                         np.linalg.norm(hg[sec, rest])))
     if pre > 1e-10 * scale:
         return {"status": "skipped", "precondition_norm": pre,
                 "reason": "[H_G, P_H] != 0"}
     factors = d if isinstance(d, PolarFactors) else polar_decompose(d)
     u_hat = factors.unitary_part.matrix
-    comm = hg @ u_hat - u_hat @ hg
-    measured = float(np.linalg.norm(p_h @ comm @ p_h))
+    measured = float(np.linalg.norm(hg[sec] @ u_hat[:, sec] - u_hat[sec] @ hg[:, sec]))
     return {"status": "pass" if measured < tol else "fail",
             "precondition_norm": pre, "measured": measured, "threshold": tol}

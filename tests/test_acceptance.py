@@ -155,7 +155,7 @@ def test_criterion_5_polar_decomposition():
         ok = ok and polar_decompose(m).invertible \
             == (np.linalg.matrix_rank(m) == n)
     d = build_d_hat(3, 1)
-    rep = verify_theorem_structure(d, ancilla_sector_embedding(3, 1).isometry)
+    rep = verify_theorem_structure(d, ancilla_sector_embedding(3, 1))
     ok = ok and rep["rank"] == 8 and d.dim == 16 \
         and rep["block_identity_error"] < 1e-9
     _report(5, "polar decomposition structure", ok, t0)
@@ -167,7 +167,7 @@ def test_criterion_6_corollary_commutation():
     for L in (3, 4):
         hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
         rep = corollary_check(hg, build_d_hat(L, 1),
-                              ancilla_sector_embedding(L, 1).isometry, tol=1e-9)
+                              ancilla_sector_embedding(L, 1), tol=1e-9)
         ok = ok and rep["status"] == "pass"
     _report(6, "projected commutation corollary", ok, t0)
 

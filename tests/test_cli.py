@@ -252,6 +252,16 @@ def test_convergence_error_is_a_failed_check(args):
     assert json.loads(res.output)["checks"][-1]["status"] == "fail"
 
 
+def test_text_report_names_the_reason():
+    txt = run("polar", "--L", "10", "--format", "text").output
+    assert "SKIP  polar checks  reason=11 sites exceeds the eigensolve limit " \
+        "of 10\n" in txt
+    with _broken_solver():
+        txt = run("gauge-equivalence", "--L", "2", "--format", "text").output
+    assert "FAIL  eigensolver converged  reason=no convergence after 0 " \
+        "sweeps\n" in txt
+
+
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["verify-automorphism", "commutators",

@@ -12,8 +12,8 @@ from wignerlab import gauge
 from wignerlab.clifford import build_u2, build_u_gauged
 from wignerlab.dense import (DenseOperator, hermitian_eigensolve, materialize,
                              random_state, transition_experiment)
-from wignerlab.gauge import (ancilla_sector_embedding, build_d_hat,
-                             build_d_noninvertible, embed_state,
+from wignerlab.gauge import (SectorEmbedding, ancilla_sector_embedding,
+                             build_d_hat, build_d_noninvertible, embed_state,
                              gauss_sector_projector, sector_blocks,
                              spectral_multiset_factor,
                              spectral_equivalence_check)
@@ -27,8 +27,9 @@ from wignerlab.pauli import PauliString, ancilla_layout, symmetry_projector
 @pytest.mark.parametrize("sign", [1, -1])
 def test_embedding_is_isometric(sign):
     e = ancilla_sector_embedding(3, sign)
-    assert e.source_dim == 8 and e.isometry.shape == (16, 8)
-    assert np.allclose(e.isometry.conj().T @ e.isometry, np.eye(8))
+    iota = np.eye(e.target_dim)[:, e.rows]
+    assert e.source_dim == 8 and iota.shape == (16, 8)
+    assert np.allclose(iota.conj().T @ iota, np.eye(8))
 
 
 def test_embedding_lands_in_ancilla_eigenspace():
@@ -53,15 +54,32 @@ def test_sector_projector_fixes_embedded_states():
 @pytest.mark.parametrize("sign", [1, -1])
 def test_embed_state_is_isometry_times_state(L, sign):
     e = ancilla_sector_embedding(L, sign)
+    iota = np.eye(e.target_dim, dtype=complex)[:, e.rows]
     for seed in range(3):
         alpha = random_state(1 << L, seed)
         got = embed_state(alpha, e).amplitudes
-        assert got.tobytes() == (e.isometry @ alpha.amplitudes).tobytes()
+        assert got.tobytes() == (iota @ alpha.amplitudes).tobytes()
 
 
 def test_embed_state_dimension_check():
     with pytest.raises(ValueError):
         embed_state(random_state(4, 0), ancilla_sector_embedding(3, 1))
+
+
+@pytest.mark.parametrize("source_dim, target_dim, offset", [
+    (8, 16, 12),  # runs past the end of the target space
+    (8, 16, -4),  # a negative offset would make ``rows`` a wrapped slice
+    (0, 16, 0),   # an empty sector
+    (17, 16, 0),  # larger than the target space
+])
+def test_sector_must_fit_in_the_target_space(source_dim, target_dim, offset):
+    with pytest.raises(ValueError, match="does not fit"):
+        SectorEmbedding(source_dim, target_dim, offset)
+
+
+def test_sector_at_either_end_fits():
+    assert SectorEmbedding(8, 16, 8).rows == slice(8, 16)
+    assert SectorEmbedding(16, 16, 0).rows == slice(0, 16)
 
 
 # -- the non-invertible operators ----------------------------------------------

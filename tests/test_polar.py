@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab.dense import DenseOperator, materialize, random_state
-from wignerlab.gauge import (ancilla_sector_embedding, build_d_hat,
-                             build_d_noninvertible)
+from wignerlab.gauge import (SectorEmbedding, ancilla_sector_embedding,
+                             build_d_hat, build_d_noninvertible)
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
 from wignerlab.pauli import PauliString, PauliSum, ancilla_layout
 from wignerlab.polar import (corollary_check, polar_decompose, svd,
@@ -190,7 +190,7 @@ def test_theorem_structure_on_gauged_operator(sign):
     L = 3
     d = build_d_hat(L, sign)
     emb = ancilla_sector_embedding(L, sign)
-    rep = verify_theorem_structure(d, emb.isometry)
+    rep = verify_theorem_structure(d, emb)
     assert rep["passed"]
     assert rep["rank"] == 8 and not rep["invertible"]
     assert rep["reconstruction_error"] < 1e-10
@@ -202,7 +202,7 @@ def test_theorem_structure_on_gauged_operator(sign):
 def test_theorem_structure_fails_on_matter_operator():
     # the rank-deficient matter operator is not an isometry on the full space
     d = build_d_noninvertible(3, 1)
-    rep = verify_theorem_structure(d, np.eye(8, dtype=complex))
+    rep = verify_theorem_structure(d, SectorEmbedding(8, 8, 0))
     assert not rep["passed"]
     assert rep["block_identity_error"] > 1e-3
 
@@ -212,19 +212,94 @@ def test_corollary_commutation(L):
     hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
     d = build_d_hat(L, 1)
     emb = ancilla_sector_embedding(L, 1)
-    rep = corollary_check(hg, d, emb.isometry)
+    rep = corollary_check(hg, d, emb)
     assert rep["status"] == "pass"
     assert rep["measured"] < 1e-9
 
 
-def test_corollary_skips_when_precondition_broken():
+def _hg_with_ancilla_field(L):
     # adding an ancilla field makes the Hamiltonian leave the embedded space
-    L = 3
-    lay = ancilla_layout(L)
     h = build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)) \
-        - PauliSum.from_string(PauliString.single(lay, "X", "L+1"))
-    hg = materialize(h)
+        - PauliSum.from_string(PauliString.single(ancilla_layout(L), "X", "L+1"))
+    return materialize(h)
+
+
+def test_corollary_skips_when_precondition_broken():
+    L = 3
+    hg = _hg_with_ancilla_field(L)
     emb = ancilla_sector_embedding(L, 1)
-    rep = corollary_check(hg, build_d_hat(L, 1), emb.isometry)
+    rep = corollary_check(hg, build_d_hat(L, 1), emb)
     assert rep["status"] == "skipped"
     assert rep["precondition_norm"] > 1.0
+
+
+def test_checks_reject_a_sector_of_another_dimension():
+    d = build_d_hat(2, 1)  # dim 8
+    hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, 2)))
+    wrong = ancilla_sector_embedding(3, 1)  # a sector of a dim-16 space
+    with pytest.raises(ValueError, match="dimensions differ"):
+        verify_theorem_structure(d, wrong)
+    with pytest.raises(ValueError, match="dimensions differ"):
+        corollary_check(hg, d, wrong)
+
+
+# -- the sector reads against the inclusion-matrix formulas ---------------------
+
+def _inclusion(e):
+    """iota: the target_dim x source_dim matrix taking a to offset + a."""
+    iota = np.zeros((e.target_dim, e.source_dim), dtype=complex)
+    iota[e.offset:e.offset + e.source_dim] = np.eye(e.source_dim)
+    return iota
+
+
+def _reference_structure(p_hat, e):
+    """The three block errors through iota, P_H = iota iota† and I - P_H."""
+    iota = _inclusion(e)
+    p_h = iota @ iota.conj().T
+    perp = np.eye(e.target_dim) - p_h
+    return {
+        "block_identity_error": float(np.linalg.norm(
+            iota.conj().T @ p_hat @ iota - np.eye(e.source_dim))),
+        "offdiag_error": float(np.linalg.norm(perp @ (p_hat @ p_hat) @ p_h)),
+        "projector_identity_error": float(max(
+            np.linalg.norm(p_h @ p_hat - p_h), np.linalg.norm(p_hat @ p_h - p_h))),
+    }
+
+
+def _reference_corollary(hg, u_hat, e):
+    """(|[H_G, P_H]|, |P_H [H_G, U_hat] P_H|) with P_H = iota iota†."""
+    iota = _inclusion(e)
+    p_h = iota @ iota.conj().T
+    comm = hg @ u_hat - u_hat @ hg
+    return (float(np.linalg.norm(hg @ p_h - p_h @ hg)),
+            float(np.linalg.norm(p_h @ comm @ p_h)))
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sector_reads_equal_the_inclusion_matrix_formulas(L, sign):
+    hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
+    fam = Family.PERIODIC_H_PLUS if sign > 0 else Family.ANTIPERIODIC_H_MINUS
+    h = materialize(build_hamiltonian(ModelSpec(fam, L)))
+    cases = [(build_d_hat(L, sign), ancilla_sector_embedding(L, sign), hg),
+             (build_d_noninvertible(L, sign), SectorEmbedding(1 << L, 1 << L, 0), h)]
+    for d, e, ham in cases:
+        rep = verify_theorem_structure(d, e)
+        factors = rep["factors"]
+        want = _reference_structure(factors.psd_part.matrix, e)
+        assert {k: rep[k] for k in want} == want
+        pre, measured = _reference_corollary(ham.matrix,
+                                             factors.unitary_part.matrix, e)
+        cor = corollary_check(ham, factors, e)
+        assert cor["measured"] == measured
+        assert cor["precondition_norm"] == pytest.approx(pre, rel=1e-14, abs=0)
+
+
+def test_precondition_equals_the_inclusion_matrix_formula_when_broken():
+    L = 3
+    hg = _hg_with_ancilla_field(L)
+    d, e = build_d_hat(L, 1), ancilla_sector_embedding(L, 1)
+    cor = corollary_check(hg, d, e)
+    pre, _ = _reference_corollary(hg.matrix, polar_decompose(d).unitary_part.matrix, e)
+    assert cor["status"] == "skipped"
+    assert cor["precondition_norm"] == pytest.approx(pre, rel=1e-14, abs=0)
