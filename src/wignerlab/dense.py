@@ -7,15 +7,15 @@ per distinct mask.  A circuit starts as one row and each quarter rotation
 ``I + i t A`` doubles the table when ``A``'s X mask takes the mask set off
 itself, or updates the rows in place, pair by pair, when it maps the set
 onto itself; a run of diagonal rotations is fused into one column scaling.
-Strings and sums multiplied on the right act on the table the same way, and
-a dense operand is first gathered into its full table.  The Hermitian
-eigensolver splits matrices into the connected components of their exact
-nonzero patterns, so a matrix in a basis that diagonalizes its symmetries is
-solved sector by sector, and solves each size class of components as one
-zero-padded stack by round-robin Jacobi, each round rotating disjoint pairs
-in every block at once.  An ``antilinear`` operator acts as ``M . K``
-(conjugation first).  The binary dump writes and reads the matrix's own
-bytes, without a copy; the CSV dump converts all its floats in one pass.
+Strings and sums multiplied on the right act on the table the same way.
+The Hermitian eigensolver splits matrices into the connected components of
+their exact nonzero patterns, so a matrix in a basis that diagonalizes its
+symmetries is solved sector by sector, and solves each size class of
+components as one zero-padded stack by round-robin Jacobi, each round
+rotating disjoint pairs in every block at once.  An ``antilinear`` operator
+acts as ``M . K`` (conjugation first).  The binary dump writes and reads the
+matrix's own bytes, without a copy; the CSV dump converts all its floats in
+one pass.
 """
 
 from __future__ import annotations
@@ -207,21 +207,6 @@ class _Table:
         elif diag is not None:
             np.multiply(self.rows, diag, out=self.rows)
 
-    @classmethod
-    def gathered(cls, m: np.ndarray) -> "_Table":
-        """The full table of a dense matrix, row ``s`` read off the
-        diagonal ``m[c ^ s, c]``, a chunk of rows at a time."""
-        dim = len(m)
-        table = cls(list(range(dim)), np.empty((dim, dim), dtype=complex),
-                    linear=True)
-        src = np.ascontiguousarray(m).reshape(-1)
-        per = _chunk_rows(dim)
-        for a in range(0, dim, per):
-            # "clip": "raise" would buffer the output
-            src.take(_flat(table.cols[a:a + per], table.cols),
-                     out=table.rows[a:a + per], mode="clip")
-        return table
-
     def _shifted(self, rows: np.ndarray, x: int, v: np.ndarray) -> np.ndarray:
         """``v[c] rows[..., c ^ x]``, a new array."""
         out = rows.take(self.cols ^ x, axis=-1, mode="clip")
@@ -331,10 +316,10 @@ class _Table:
         return m
 
 
-def materialize(obj: PauliString | PauliSum | CliffordCircuit | DenseOperator,
+def materialize(obj: PauliString | PauliSum | CliffordCircuit,
                 *right: PauliString | PauliSum) -> DenseOperator:
-    """Explicit complex matrix of a string, sum, circuit or linear dense
-    operator (copied), times each string or sum in ``right``, left to right.
+    """Explicit complex matrix of a string, sum or circuit, times each string
+    or sum in ``right``, left to right.
 
     Every operand is built as a ``_Table`` of rows keyed by X mask, and the
     only dim x dim matrix is written once at the end.  A string is one row
@@ -342,22 +327,15 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit | DenseOperator,
     global phase times ``2^(-k/2)`` for its ``k`` quarter rotations, and is
     multiplied on the right by each rotation ``I + i t A``; a run of
     diagonal rotations is fused into one column scaling.  Each right factor
-    is grouped by X mask and multiplies the table the same way.  A dense
-    operator is gathered into its full table and takes its layout from
-    ``right``.
+    is grouped by X mask and multiplies the table the same way.
     """
-    dense_left = isinstance(obj, DenseOperator)
-    if dense_left and (obj.antilinear or not right or right[0].layout.dim != obj.dim):
-        raise ValueError("left operand must be linear with right factors of its dimension")
-    layout = right[0].layout if dense_left else obj.layout
+    layout = obj.layout
     if any(factor.layout != layout for factor in right):
         raise ValueError("right factor is on a different layout")
     check_limit(layout.total_sites, "dense")
     dim = layout.dim
     cols = np.arange(dim)
-    if dense_left:
-        table = _Table.gathered(obj.matrix)
-    elif isinstance(obj, CliffordCircuit):
+    if isinstance(obj, CliffordCircuit):
         table = _Table([0], np.full((1, dim), np.exp(obj.phase * 1j * math.pi / 4)
                                     * 2.0 ** (-len(obj.factors) / 2)), linear=True)
         diag = None  # product of the pending run of diagonal rotations

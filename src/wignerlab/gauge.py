@@ -52,30 +52,26 @@ def embed_state(alpha: StateVector, e: SectorEmbedding) -> StateVector:
     return StateVector(psi)
 
 
-def build_d_noninvertible(L: int, sign: int,
-                          u2: DenseOperator | None = None) -> DenseOperator:
-    """D± = U2 * (1 ± eta)/2 on the matter space; rank 2^(L-1).  ``u2`` is
-    U2's matrix, if already built."""
-    return materialize(u2 or build_u2(L), symmetry_projector(sign, matter_layout(L)))
+def build_d_noninvertible(L: int, sign: int) -> DenseOperator:
+    """D± = U2 * (1 ± eta)/2 on the matter space; rank 2^(L-1)."""
+    return materialize(build_u2(L), symmetry_projector(sign, matter_layout(L)))
 
 
-def build_d_hat(L: int, sign: int, antilinear: bool = False,
-                ug: DenseOperator | None = None) -> DenseOperator:
+def build_d_hat(L: int, sign: int, antilinear: bool = False) -> DenseOperator:
     """D̂± = U_gauged * (1 ± Z_{L+1})/2 on the enlarged space; optionally the
-    antilinear variant U_gauged * P̃± * K.  ``ug`` is U_gauged's matrix, if
-    already built."""
+    antilinear variant U_gauged * P̃± * K."""
     p = symmetry_projector(sign, ancilla_layout(L), on_ancilla=True)
-    return DenseOperator(materialize(ug or build_u_gauged(L), p).matrix, antilinear=antilinear)
+    return DenseOperator(materialize(build_u_gauged(L), p).matrix, antilinear=antilinear)
 
 
-def gauss_sector_projector(L: int) -> DenseOperator:
+def gauss_sector_projector(L: int) -> PauliSum:
     """prod_j (1 + G_j)/2 on the fully gauged space, multiplied out
     symbolically into 2^L terms; trace 2^L."""
     ops = gauss_law_operators(L)
     proj = one = PauliSum.identity(ops[0].layout)
     for g in ops:
         proj = proj * (0.5 * (one + g))
-    return materialize(proj)
+    return proj
 
 
 def _cluster(values: np.ndarray, tol: float = 1e-8) -> list[tuple[float, int]]:

@@ -12,6 +12,7 @@ floating phases ever enter the symbolic kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Union
 
@@ -314,6 +315,18 @@ class PauliSum:
             if abs(c.conjugate() * (-1) ** w - c) > COEF_TOL:
                 return False
         return True
+
+    def frobenius_norm(self) -> float:
+        """``sqrt(tr S†S) = sqrt(dim * sum |c|^2)``, since distinct strings are
+        Hilbert-Schmidt orthogonal and each has ``tr p†p = dim``; ``inf``
+        when that lies past the float range."""
+        total = math.fsum(c.real * c.real + c.imag * c.imag
+                          for c in self.terms.values())
+        sites = self.layout.total_sites
+        try:  # the power of two is exact, so only the square root rounds
+            return math.ldexp(math.sqrt(math.ldexp(total, sites & 1)), sites >> 1)
+        except OverflowError:
+            return math.inf
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PauliSum):

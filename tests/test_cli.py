@@ -16,6 +16,7 @@ from wignerlab.cli import _seeded_pairs, main
 from wignerlab.dense import (EIGENSOLVE_SITE_LIMIT, ConvergenceError,
                              materialize, read_dense_binary, read_dense_csv)
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
+from wignerlab.pauli import link_layout
 
 
 def run(*args):
@@ -109,7 +110,11 @@ def test_text_and_csv_formats():
     txt = run("gauge-equivalence", "--L", "2", "--format", "text").output
     assert "PASS" in txt and "passed" in txt
     csv_out = run("gauge-equivalence", "--L", "2", "--format", "csv").output
-    assert csv_out.splitlines()[0] == "name,status,measured,threshold"
+    assert csv_out.splitlines()[0] == "name,status,measured,threshold,reason"
+    assert csv_out.splitlines()[1].endswith(",")  # a record without a reason
+    csv_out = run("polar", "--L", "10", "--format", "csv").output
+    assert csv_out.splitlines()[1] == ("polar checks,skipped,,,11 sites exceeds "
+                                       "the eigensolve limit of 10")
 
 
 def test_out_flag_writes_file(tmp_path):
@@ -144,8 +149,10 @@ def test_large_L_skips_dense_checks():
     report = json.loads(res.output)
     statuses = {c["status"] for c in report["checks"]}
     assert "skipped" in statuses and "fail" not in statuses
-    # symbolic checks still run at this size
+    # symbolic checks still run at this size, the nine commutator norms too
     assert any(c["status"] == "pass" for c in report["checks"])
+    names = [c["name"] for c in report["checks"] if c["status"] == "pass"]
+    assert "[H_G, U_gauged]" in names and "[H-, U2] nonzero" in names
 
 
 def test_polar_beyond_eigensolve_limit_skips():
@@ -219,17 +226,23 @@ def test_seeded_pairs_do_not_collide():
     assert not matter & states(0, 1)
 
 
-def test_commutator_battery_builds_each_circuit_once(monkeypatch):
-    from wignerlab import cli, gauge
-    from wignerlab.clifford import CliffordCircuit
+def test_commutator_and_projector_checks_materialize_nothing(monkeypatch):
+    from wignerlab import cli, dense, gauge
     built = []
-    for module in (cli, gauge):
+    for module in (cli, dense, gauge):
         monkeypatch.setattr(module, "materialize",
                             lambda obj, *right, _m=materialize: built.append(
-                                isinstance(obj, CliffordCircuit)) or _m(obj, *right))
+                                obj.layout) or _m(obj, *right))
     checks = cli.commutator_checks(3)
+    assert len(checks) == 15 and all(c["status"] == "pass" for c in checks)
+    assert built == []
+    # the spectral check solves H_full; the projector checks leave the
+    # fully gauged (link) layout to it
+    monkeypatch.setattr(cli, "spectral_equivalence_check", lambda L: {
+        "equivalent": True, "uniform_factor": 4, "predicted_factor": 4})
+    checks = cli.gauge_checks(3)
     assert all(c["status"] == "pass" for c in checks)
-    assert sum(built) == 3
+    assert built and link_layout(3) not in built
 
 
 # -- no input ends in a traceback ------------------------------------------------

@@ -154,7 +154,7 @@ def test_restricted_operator_commutes_with_sector_hamiltonian():
 
 def test_gauss_projector_properties():
     L = 3
-    p = gauss_sector_projector(L).matrix
+    p = materialize(gauss_sector_projector(L)).matrix
     assert abs(np.trace(p).real - 8) < 1e-10
     assert np.linalg.norm(p @ p - p) < 1e-10
     assert np.linalg.norm(p - p.conj().T) < 1e-12
@@ -168,7 +168,8 @@ def test_gauss_projector_matches_oracle_product(L):
     for g in gauss_law_operators(L):
         ((c, p),) = g
         want = want @ (np.eye(len(want)) + c * oracle_string_matrix(p)) / 2
-    assert np.allclose(gauss_sector_projector(L).matrix, want, atol=1e-12)
+    assert np.allclose(materialize(gauss_sector_projector(L)).matrix, want,
+                       atol=1e-12)
 
 
 def test_sector_blocks_reproduce_boundary_families():

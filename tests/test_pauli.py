@@ -2,6 +2,7 @@
 and text form, all checked against kron-built dense oracles."""
 
 import copy
+import math
 import pickle
 from dataclasses import FrozenInstanceError
 
@@ -220,6 +221,28 @@ def test_sum_commutator_matches_dense(p, q):
     lhs = dense_sum(sum_commutator(a, b))
     am, bm = dense_sum(a), dense_sum(b)
     assert np.allclose(lhs, am @ bm - bm @ am, atol=1e-12)
+
+
+@settings(max_examples=100)
+@given(data=st.data(), layout=st.sampled_from([matter_layout(2), LAYOUT3,
+                                               ancilla_layout(2)]))
+def test_sum_frobenius_norm_matches_dense(data, layout):
+    terms = data.draw(st.lists(st.tuples(
+        st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False),
+        strings(layout)), max_size=8))
+    s = PauliSum.from_strings(layout, terms)
+    assert s.frobenius_norm() == pytest.approx(
+        np.linalg.norm(dense_sum(s)), rel=1e-12, abs=1e-300)
+
+
+def test_sum_frobenius_norm_is_exact_and_saturates():
+    assert PauliSum.zero(LAYOUT3).frobenius_norm() == 0.0
+    # odd and even site counts: only the square root rounds
+    for n in (3, 4, 1000):
+        assert PauliSum.identity(matter_layout(n)).frobenius_norm() == \
+            math.sqrt(2.0 ** n)
+    assert PauliSum.zero(matter_layout(3000)).frobenius_norm() == 0.0
+    assert PauliSum.identity(matter_layout(2100)).frobenius_norm() == math.inf
 
 
 def test_sum_hermiticity_predicate():

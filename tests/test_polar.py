@@ -261,8 +261,7 @@ def _reference_structure(p_hat, e):
         "block_identity_error": float(np.linalg.norm(
             iota.conj().T @ p_hat @ iota - np.eye(e.source_dim))),
         "offdiag_error": float(np.linalg.norm(perp @ (p_hat @ p_hat) @ p_h)),
-        "projector_identity_error": float(max(
-            np.linalg.norm(p_h @ p_hat - p_h), np.linalg.norm(p_hat @ p_h - p_h))),
+        "projector_identity_error": float(np.linalg.norm(p_h @ p_hat - p_h)),
     }
 
 
@@ -288,6 +287,11 @@ def test_sector_reads_equal_the_inclusion_matrix_formulas(L, sign):
         factors = rep["factors"]
         want = _reference_structure(factors.psd_part.matrix, e)
         assert {k: rep[k] for k in want} == want
+        # P_hat is Hermitian: the column half adds nothing to the row half
+        p_hat, p_h = factors.psd_part.matrix, _inclusion(e) @ _inclusion(e).conj().T
+        assert np.array_equal(p_hat, p_hat.conj().T)
+        assert abs(np.linalg.norm(p_hat @ p_h - p_h)
+                   - rep["projector_identity_error"]) <= 1e-15
         pre, measured = _reference_corollary(ham.matrix,
                                              factors.unitary_part.matrix, e)
         cor = corollary_check(ham, factors, e)
