@@ -20,8 +20,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .clifford import (CliffordCircuit, build_u1, build_u2, build_u_gauged,
-                       conjugate_sum, phi1_table, phi2_table, phi_gauged_table,
+from .clifford import (build_u1, build_u2, build_u_gauged, conjugate_sum,
+                       phi1_table, phi2_table, phi_gauged_table,
                        verify_automorphism)
 from .dense import (TAU_EIG_PER_DIM, ConvergenceError, DenseOperator,
                     DimensionCapError, StateVector, check_limit,
@@ -80,11 +80,11 @@ def automorphism_checks(circuit: str, L: int) -> list[dict]:
     return out
 
 
-def _commutator_norm(h: PauliSum, u: CliffordCircuit, p: PauliSum) -> float:
-    """``‖[H, U P]‖_F`` on Pauli sums: U P = Q U with Q = U P U†, so
-    [H, U P] = (H Q - Q U H U†) U, whose Frobenius norm does not see U."""
-    q = conjugate_sum(u, p)
-    return (h * q - q * conjugate_sum(u, h)).frobenius_norm()
+def _commutator_norm(h: PauliSum, h_image: PauliSum, q: PauliSum) -> float:
+    """``‖[H, U P]‖_F`` on Pauli sums from ``h_image = U H U†`` and
+    ``q = U P U†``: U P = Q U, so [H, U P] = (H Q - Q U H U†) U, whose
+    Frobenius norm does not see U."""
+    return (h * q - q * h_image).frobenius_norm()
 
 
 def commutator_checks(L: int, tol_scale: float = 1.0,
@@ -100,26 +100,33 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
             projected_commutation_check(L, sign)["passed"]))
     records = []  # _check arguments
 
-    def conserved(name, h, u, p=None):
-        p = PauliSum.identity(h.layout) if p is None else p  # a circuit alone
+    def conserved(name, h, u, p=None, h_image=None):
+        """Record ``‖[H, U P]‖_F`` and return ``U H U†``, taken here unless
+        given, so that each image is taken once per battery."""
+        h_image = conjugate_sum(u, h) if h_image is None else h_image
+        if p is None:  # a circuit alone: P = 1 is its own image
+            p = q = PauliSum.identity(h.layout)
+        else:
+            q = conjugate_sum(u, p)
         tol = 1e-10 * max(h.frobenius_norm() * p.frobenius_norm(), 1.0) * tol_scale
-        records.append((name, _commutator_norm(h, u, p), tol))
+        records.append((name, _commutator_norm(h, h_image, q), tol))
+        return h_image
 
     u2, ug = build_u2(L), build_u_gauged(L)
     hg = build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L))
     conserved("[H1, U1]", build_hamiltonian(ModelSpec(Family.OPEN_H1, L)), build_u1(L))
     conserved("[H2, U2]", build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2, L)), u2)
-    conserved("[H_G, U_gauged]", hg, ug)
+    hg_image = conserved("[H_G, U_gauged]", hg, ug)
     for sign, s, fam in zip((1, -1), "+-", _BOUNDARY_FAMILIES):
         if flip_boundary and sign == 1:
             fam = Family.ANTIPERIODIC_H_MINUS  # injected fault
         h = build_hamiltonian(ModelSpec(fam, L))
         # the factors of D± and D̂± in gauge.py
-        conserved(f"[H{s}, D{s}]", h, u2, symmetry_projector(sign, h.layout))
+        h_image = conserved(f"[H{s}, D{s}]", h, u2, symmetry_projector(sign, h.layout))
         conserved(f"[H_G, D_hat{s}]", hg, ug,
-                  symmetry_projector(sign, hg.layout, on_ancilla=True))
-        records.append((f"[H{s}, U2] nonzero",
-                        _commutator_norm(h, u2, PauliSum.identity(h.layout)), 0.1, True))
+                  symmetry_projector(sign, hg.layout, on_ancilla=True), hg_image)
+        records.append((f"[H{s}, U2] nonzero", _commutator_norm(
+            h, h_image, PauliSum.identity(h.layout)), 0.1, True))
     if all(math.isfinite(v) for r in records for v in r[1:3]):
         return out + [_check(*r) for r in records]
     return out + [_skip("commutator norms", f"{L + 1} sites puts a norm or "

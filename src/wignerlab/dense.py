@@ -7,7 +7,8 @@ per distinct mask.  A circuit starts as one row and each quarter rotation
 ``I + i t A`` doubles the table when ``A``'s X mask takes the mask set off
 itself, or updates the rows in place, pair by pair, when it maps the set
 onto itself; a run of diagonal rotations is fused into one column scaling.
-Strings and sums multiplied on the right act on the table the same way.
+A circuit times strings or sums of one nonzero X mask each, such as
+``U2 (1 + eta) / 2``, multiplies the table by those factors the same way.
 The Hermitian eigensolver splits matrices into the connected components of
 their exact nonzero patterns, so a matrix in a basis that diagonalizes its
 symmetries is solved sector by sector, and solves each size class of
@@ -20,7 +21,6 @@ one pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import struct
@@ -142,26 +142,6 @@ def _chunk_rows(dim: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * dim))
 
 
-def _xor(mask: int, n: int) -> tuple[tuple[int, ...], tuple[slice, ...]]:
-    """``(shape, index)`` for an ``n``-bit axis: ``shape`` splits it into
-    runs of bits that ``mask`` sets or clears (most significant first, as in
-    C order), and ``index`` reverses the runs ``mask`` sets.
-
-    Reversing a run of bits XORs it with all ones, so the reshaped and
-    indexed view reads entry ``i`` at ``i ^ mask``, strided, not gathered.
-    """
-    shape, index = [], []
-    while n:
-        bit = mask >> (n - 1) & 1
-        run = 1
-        while run < n and mask >> (n - 1 - run) & 1 == bit:
-            run += 1
-        shape.append(1 << run)
-        index.append(slice(None, None, -1) if bit else slice(None))
-        n -= run
-    return tuple(shape), tuple(index)
-
-
 def _flat(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Flat indices ``(masks[i] ^ c) * dim + c`` of the entries of the table
     rows of ``masks`` in a C-ordered dim x dim matrix: the diagonal's
@@ -176,34 +156,30 @@ class _Table:
 
     Multiplying on the right by ``v X^x`` moves row ``i`` to mask
     ``masks[i] ^ x`` and reads its column ``c`` at ``c ^ x``: one ``np.take``
-    along the row, as fast for every ``x`` (a reversed view of the columns
-    runs in steps as short as ``x``'s lowest run of bits).
-
-    The table is ``linear`` when ``masks[i ^ j] == masks[i] ^ masks[j]``:
-    its masks are a subspace, listed in the order of its coordinates.  A
-    circuit's table starts as the one row of mask 0 and stays linear, since
-    a rotation either doubles it or maps it onto itself.
+    along the row, as fast for every ``x``.  Only a circuit is multiplied,
+    and its masks stay a subspace listed in the order of its coordinates,
+    ``masks[i ^ j] == masks[i] ^ masks[j]`` (the X half of its stabilizer
+    tableau): it starts as the one row of mask 0, and each factor either
+    doubles the subspace or maps it onto itself.
     """
 
-    def __init__(self, masks: list[int], rows: np.ndarray, linear: bool) -> None:
-        self.masks, self.rows, self.linear = masks, rows, linear
+    def __init__(self, masks: list[int], rows: np.ndarray) -> None:
+        self.masks, self.rows = masks, rows
         self.index = {m: i for i, m in enumerate(masks)}
         self.cols = np.arange(rows.shape[1])
 
-    def times(self, diag: np.ndarray | None, off: dict[int, np.ndarray]) -> None:
-        """``O <- O (diag + sum_x off[x] X^x)``, where ``diag`` scales columns
-        (None is the identity) and ``X^x`` maps column ``c`` to ``c ^ x``:
-        row ``t`` of the product is ``diag rows[t] + sum_x off[x] rows[t ^ x]``,
-        the latter read at column ``c ^ x``."""
-        if len(off) == 1 and self.linear:
-            (x, v), = off.items()
+    def times(self, diag: np.ndarray | None, x: int = 0,
+              v: np.ndarray | None = None) -> None:
+        """``O <- O (diag + v X^x)``, where ``diag`` scales columns (None is
+        the identity), ``X^x`` maps column ``c`` to ``c ^ x`` and ``x == 0``
+        leaves only ``diag``: row ``t`` of the product is
+        ``diag rows[t] + v rows[t ^ x]``, the latter read at column ``c ^ x``."""
+        if x:
             j = self.index.get(x)
             if j is None:
                 self._double(diag, x, v)
             else:
                 self._pairs(diag, j, x, v)
-        elif off:
-            self._union(diag, off)
         elif diag is not None:
             np.multiply(self.rows, diag, out=self.rows)
 
@@ -233,75 +209,32 @@ class _Table:
         with row ``i ^ j``, and the rows are updated in place, one chunk of
         whole pairs at a time.
 
-        A ``j`` below a chunk's row count pairs rows within blocks of that
-        many rows.  A larger one splits the rows on its top bit into halves,
-        the high half reversed on ``j``'s other bits so that ``lo[i]`` pairs
-        with ``hi[i]``, and each chunk is taken from both halves at once.
+        With ``top`` the highest bit of ``j``, the rows fall into groups of
+        ``2 top``, and row ``r`` of a group's low half pairs with row
+        ``r ^ j ^ top`` of its high half.  A chunk is whole groups, or a run
+        of ``step`` low rows of one group; the high rows are a slice unless
+        ``j ^ top`` has bits below ``step``, and then a gather.
         """
-        k, dim = self.rows.shape
-        per = _chunk_rows(dim)
-        if j < per:
-            shape, flip = _xor(j, min(k, per).bit_length() - 1)
-            for a in range(0, k, per):
-                block = self.rows[a:a + per]
-                partner = self._shifted(block.reshape(*shape, dim)[flip], x, v)
-                if diag is not None:
-                    block *= diag
-                block += partner.reshape(block.shape)
-            return
-        top = 1 << (j.bit_length() - 1)
-        shape, flip = _xor(j ^ top, top.bit_length() - 1)
-        halves = self.rows.reshape(-1, 2, top, dim)
-        lo = halves[:, 0].reshape(-1, *shape, dim)
-        hi = halves[:, 1].reshape(-1, *shape, dim)[(slice(None), *flip)]
-        # a chunk fixes the axes before ``axis`` and slices ``axis``
-        axis, limit = 0, max(1, per // 2)
-        while math.prod(lo.shape[axis + 1:-1]) > limit:
-            axis += 1
-        step = max(1, limit // math.prod(lo.shape[axis + 1:-1]))
-        for at in itertools.product(*map(range, lo.shape[:axis]),
-                                    range(0, lo.shape[axis], step)):
-            at = at[:-1] + (slice(at[-1], at[-1] + step),)
-            a, b = lo[at], hi[at]
-            from_b, from_a = self._shifted(b, x, v), self._shifted(a, x, v)
-            if diag is not None:
-                a *= diag
-                b *= diag
-            a += from_b
-            b += from_a
-
-    def _union(self, diag: np.ndarray | None, off: dict[int, np.ndarray]) -> None:
-        """Any other product: the table over the union of the masks and their
-        shifts, built chunk by chunk from gathered rows (zero where a mask
-        has no row)."""
         dim = self.rows.shape[1]
-        masks = list(dict.fromkeys(
-            self.masks + [m ^ x for x in off for m in self.masks]))
-        rows = np.empty((len(masks), dim), dtype=complex)
-        per = _chunk_rows(dim)
-        for a in range(0, len(masks), per):
-            chunk = masks[a:a + per]
-            acc = None  # the shifted terms, summed in the order of off
-            for x, v in off.items():
-                term = self._shifted(self._gather([m ^ x for m in chunk]), x, v)
-                if acc is None:
-                    acc = term
-                else:
-                    acc += term
-            own = self._gather(chunk)
-            if diag is not None:
-                own *= diag
-            own += acc
-            rows[a:a + per] = own
-        self.masks, self.rows, self.linear = masks, rows, False
-        self.index = {m: i for i, m in enumerate(masks)}
-
-    def _gather(self, masks: list[int]) -> np.ndarray:
-        """A copy of the rows of ``masks``, zero for a mask with no row."""
-        at = [self.index.get(m, -1) for m in masks]
-        out = self.rows[at]
-        out[[i < 0 for i in at]] = 0
-        return out
+        top = 1 << (j.bit_length() - 1)
+        low = j ^ top
+        groups = self.rows.reshape(-1, 2, top, dim)
+        # rows in half a chunk, a power of two so that aligned runs XOR to runs
+        half = 1 << (max(1, _chunk_rows(dim) // 2).bit_length() - 1)
+        step, per = min(top, half), max(1, half // top)  # low rows, groups
+        perm, gather = np.arange(top) ^ low, bool(low & (step - 1))
+        for g in range(0, len(groups), per):
+            for a in range(0, top, step):
+                at = perm[a:a + step] if gather else slice(perm[a], perm[a] + step)
+                lo, hi = groups[g:g + per, 0, a:a + step], groups[g:g + per, 1, at]
+                from_hi, from_lo = self._shifted(hi, x, v), self._shifted(lo, x, v)
+                if diag is not None:
+                    lo *= diag
+                    hi *= diag
+                lo += from_hi
+                hi += from_lo
+                if gather:  # the gathered rows are a copy
+                    groups[g:g + per, 1, at] = hi
 
     def matrix(self) -> np.ndarray:
         """The one dim x dim matrix: each row scattered onto its diagonal,
@@ -318,8 +251,9 @@ class _Table:
 
 def materialize(obj: PauliString | PauliSum | CliffordCircuit,
                 *right: PauliString | PauliSum) -> DenseOperator:
-    """Explicit complex matrix of a string, sum or circuit, times each string
-    or sum in ``right``, left to right.
+    """Explicit complex matrix of a string, sum or circuit; a circuit may be
+    multiplied on the right by strings or sums of one nonzero X mask each,
+    left to right, such as ``U (1 + eta) / 2``.
 
     Every operand is built as a ``_Table`` of rows keyed by X mask, and the
     only dim x dim matrix is written once at the end.  A string is one row
@@ -327,40 +261,48 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
     global phase times ``2^(-k/2)`` for its ``k`` quarter rotations, and is
     multiplied on the right by each rotation ``I + i t A``; a run of
     diagonal rotations is fused into one column scaling.  Each right factor
-    is grouped by X mask and multiplies the table the same way.
+    is grouped by X mask into ``diag + v X^x`` and multiplies the table the
+    same way.  Raises ``ValueError`` for right factors on another layout,
+    on a string or sum, or with two or more nonzero X masks.
     """
     layout = obj.layout
     if any(factor.layout != layout for factor in right):
         raise ValueError("right factor is on a different layout")
+    if right and not isinstance(obj, CliffordCircuit):
+        raise ValueError("right factors multiply a circuit only")
+    factors = [_terms(factor) for factor in right]
+    if any(len({p.x_mask for _, p in f} - {0}) > 1 for f in factors):
+        raise ValueError("a right factor holds more than one nonzero X mask")
     check_limit(layout.total_sites, "dense")
     dim = layout.dim
     cols = np.arange(dim)
-    if isinstance(obj, CliffordCircuit):
-        table = _Table([0], np.full((1, dim), np.exp(obj.phase * 1j * math.pi / 4)
-                                    * 2.0 ** (-len(obj.factors) / 2)), linear=True)
-        diag = None  # product of the pending run of diagonal rotations
-        for axis, sign in obj.factors:  # leftmost factor first in the product
-            v = (1j * sign) * _values(axis, cols)
-            if not axis.x_mask:
-                diag = 1 + v if diag is None else diag * (1 + v)
-                continue
-            if diag is not None:  # O D (I + v X^x) = O (D + (v D[c ^ x]) X^x)
-                v *= diag[cols ^ axis.x_mask]
-            table.times(diag, {axis.x_mask: v})
-            diag = None
-        table.times(diag, {})
-    else:
+    if not isinstance(obj, CliffordCircuit):
         terms = _terms(obj)
         masks = list(dict.fromkeys(p.x_mask for _, p in terms))
-        table = _Table(masks, np.zeros((len(masks), dim), dtype=complex),
-                       linear=False)
+        table = _Table(masks, np.zeros((len(masks), dim), dtype=complex))
         for c, p in terms:
             table.rows[table.index[p.x_mask]] += c * _values(p, cols)
-    for factor in right:
+        return DenseOperator(table.matrix())
+    table = _Table([0], np.full((1, dim), np.exp(obj.phase * 1j * math.pi / 4)
+                                * 2.0 ** (-len(obj.factors) / 2)))
+    diag = None  # product of the pending run of diagonal rotations
+    for axis, sign in obj.factors:  # leftmost factor first in the product
+        v = (1j * sign) * _values(axis, cols)
+        if not axis.x_mask:
+            diag = 1 + v if diag is None else diag * (1 + v)
+            continue
+        if diag is not None:  # O D (I + v X^x) = O (D + (v D[c ^ x]) X^x)
+            v *= diag[cols ^ axis.x_mask]
+        table.times(diag, axis.x_mask, v)
+        diag = None
+    table.times(diag)
+    for factor in factors:
         groups: dict[int, np.ndarray] = {}
-        for c, p in _terms(factor):
+        for c, p in factor:
             groups[p.x_mask] = groups.get(p.x_mask, 0) + c * _values(p, cols)
-        table.times(groups.pop(0, np.zeros(dim)), groups)
+        diag = groups.pop(0, np.zeros(dim))
+        x, v = groups.popitem() if groups else (0, None)
+        table.times(diag, x, v)
     return DenseOperator(table.matrix())
 
 

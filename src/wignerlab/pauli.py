@@ -64,13 +64,6 @@ class HilbertLayout:
         except ValueError:
             raise ValueError(f"unknown gauge slot {site!r}") from None
 
-    def site_of(self, bit: int) -> SiteRef:
-        if not 0 <= bit < self.total_sites:
-            raise ValueError(f"bit {bit} out of range")
-        if bit < self.n_matter:
-            return bit + 1
-        return self.gauge_slots[bit - self.n_matter]
-
 
 def matter_layout(L: int) -> HilbertLayout:
     return HilbertLayout(L)
@@ -167,16 +160,6 @@ class PauliString:
             return _string(layout, b, b, 1)  # Y = i X Z
         raise ValueError(f"unknown Pauli kind {kind!r}")
 
-    @classmethod
-    def from_sites(cls, layout: HilbertLayout,
-                   ops: Iterable[tuple[str, SiteRef]],
-                   phase_exp: int = 0) -> "PauliString":
-        """Product of single-site operators, left to right."""
-        out = cls(layout, phase_exp=phase_exp)
-        for kind, site in ops:
-            out = mul(out, cls.single(layout, kind, site))
-        return out
-
     # -- algebra -----------------------------------------------------------
 
     def __mul__(self, other: "PauliString") -> "PauliString":
@@ -185,12 +168,6 @@ class PauliString:
     def is_hermitian(self) -> bool:
         # i**p * B with B† = (-1)**|x&z| B is Hermitian iff p = |x&z| mod 2
         return (self.phase_exp - (self.x_mask & self.z_mask).bit_count()) % 2 == 0
-
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0 and self.phase_exp == 0
-
-    def phase_free(self) -> "PauliString":
-        return _string(self.layout, self.x_mask, self.z_mask, 0)
 
     @property
     def coefficient(self) -> complex:

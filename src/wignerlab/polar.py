@@ -23,9 +23,6 @@ class SVDResult:
     v: np.ndarray       # right unitary
     rank: int
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.w * self.sigma) @ self.v.conj().T
-
 
 @dataclass(frozen=True)
 class PolarFactors:
@@ -129,8 +126,8 @@ def verify_theorem_structure(d: DenseOperator, sector: SectorEmbedding,
     (iii) the rows suffice: ``polar_decompose_all`` makes P_hat exactly
     Hermitian, so P_hat P_H - P_H is the conjugate transpose of
     P_H P_hat - P_H and has the same norm up to rounding.  The report
-    carries the polar ``factors`` so that a later check on the same operator
-    reuses them.
+    carries the polar ``factors``, singular values included, so that a
+    later check on the same operator reuses them.
     """
     if sector.target_dim != d.dim:
         raise ValueError("sector and operator dimensions differ")
@@ -144,9 +141,6 @@ def verify_theorem_structure(d: DenseOperator, sector: SectorEmbedding,
     offdiag_error = float(np.linalg.norm(p_hat[rest] @ p_hat[:, sec]))
     proj_error = float(np.linalg.norm(p_hat[sec] - eye[sec]))
     return {
-        "reconstruction_error": float(np.linalg.norm(
-            factors.unitary_part.matrix @ p_hat - d.matrix)),
-        "sigma": [float(s) for s in factors.sigma],
         "rank": factors.rank,
         "invertible": factors.invertible,
         "block_identity_error": block_identity_error,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_circuit_matrix, oracle_string_matrix
 from wignerlab.cli import _commutator_norm, commutator_checks, gauge_checks, main
-from wignerlab.clifford import build_u1, build_u2, build_u_gauged
+from wignerlab.clifford import build_u1, build_u2, build_u_gauged, conjugate_sum
 from wignerlab.dense import materialize
 from wignerlab.gauge import (build_d_hat, build_d_noninvertible,
                              gauss_sector_projector)
@@ -35,7 +35,8 @@ def test_commutator_norm_matches_dense_on_any_sums(data, build):
             for _ in range(2))
     hm = _sum_matrix(h)
     d = oracle_circuit_matrix(u) @ _sum_matrix(p)
-    assert _commutator_norm(h, u, p) == pytest.approx(
+    got = _commutator_norm(h, conjugate_sum(u, h), conjugate_sum(u, p))
+    assert got == pytest.approx(
         _frob(hm @ d - d @ hm), rel=1e-12, abs=1e-12)
 
 

@@ -41,8 +41,8 @@ def dense_sum(s: PauliSum) -> np.ndarray:
 def test_layout_indexing_roundtrip():
     lay = link_layout(3)
     assert lay.total_sites == 6
-    for b in range(lay.total_sites):
-        assert lay.index_of(lay.site_of(b)) == b
+    sites = (1, 2, 3, "1/2", "3/2", "5/2")
+    assert [lay.index_of(s) for s in sites] == list(range(lay.total_sites))
     assert lay.index_of(1) == 0
     assert lay.index_of(3) == 2
 
@@ -122,7 +122,7 @@ def test_square_is_phase_times_identity(p):
 
 
 def test_weight_and_coefficient():
-    p = PauliString.from_sites(LAYOUT3, [("Y", 1), ("Z", 3)])
+    p = mul(PauliString.single(LAYOUT3, "Y", 1), PauliString.single(LAYOUT3, "Z", 3))
     assert p.coefficient == 1j  # stored as i * X1 Z1 Z3
 
 
@@ -201,13 +201,13 @@ def test_sum_distributivity_matches_dense(p, q, r):
 
 
 def test_sum_cancellation_is_exact():
-    p = PauliString.from_sites(LAYOUT3, [("X", 1), ("Z", 2)])
+    p = PauliString(LAYOUT3, 0b001, 0b010)  # X1 Z2
     s = PauliSum.from_string(p) + (-1.0) * PauliSum.from_string(p)
     assert s.is_zero() and len(s) == 0
 
 
 def test_sum_canonicalizes_phases():
-    p = PauliString.from_sites(LAYOUT3, [("Y", 2)])
+    p = PauliString.single(LAYOUT3, "Y", 2)
     # i * (X2 Z2 with phase 1)  ==  -1 * (X2 Z2 with phase 3)
     a = PauliSum.from_string(p, 1.0)
     b = PauliSum.from_string(PauliString(LAYOUT3, p.x_mask, p.z_mask, 3), -1.0)
@@ -280,7 +280,7 @@ def test_projector_eigenvalue_relation():
 # -- text form ----------------------------------------------------------------
 
 def test_format_string_examples():
-    assert format_string(PauliString.from_sites(LAYOUT3, [("X", 1), ("Z", 3)])) \
+    assert format_string(PauliString(LAYOUT3, 0b001, 0b100)) \
         == "(+1i^0) X1 Z3 | L=3, gauge=[]"
     lay = link_layout(2)
     p = PauliString.single(lay, "X", "3/2")
@@ -290,7 +290,7 @@ def test_format_string_examples():
 def test_format_sum_example():
     s = PauliSum.from_strings(LAYOUT3, [
         (-2, PauliString.single(LAYOUT3, "X", 3)),
-        (0.5, PauliString.from_sites(LAYOUT3, [("Z", 1), ("Z", 2)]))])
+        (0.5, PauliString(LAYOUT3, 0, 0b011))])
     # terms in sorted (x_mask, z_mask) order: Z1 Z2 is (0, 3), X3 is (4, 0)
     assert format_sum(s) == ("L=3, gauge=[]\n"
                              "(0.5+0j)  (+1i^0) Z1 Z2\n"
@@ -303,7 +303,8 @@ def per_site_format(p: PauliString) -> str:
     toks, n_y = [], 0
     for bit in range(p.layout.total_sites):
         x, z = (p.x_mask >> bit) & 1, (p.z_mask >> bit) & 1
-        site = p.layout.site_of(bit)
+        lay = p.layout
+        site = bit + 1 if bit < lay.n_matter else lay.gauge_slots[bit - lay.n_matter]
         token = str(site) if isinstance(site, int) else f"[{site}]"
         if x and z:
             toks.append("Y" + token)

@@ -32,7 +32,8 @@ def test_svd_diagonal_example():
     res = svd(np.diag([3.0, 0.0, -2.0]).astype(complex))
     assert np.allclose(res.sigma, [3.0, 2.0, 0.0], atol=1e-12)
     assert res.rank == 2
-    assert np.allclose(res.reconstruct(), np.diag([3.0, 0.0, -2.0]), atol=1e-12)
+    assert np.allclose((res.w * res.sigma) @ res.v.conj().T, np.diag([3.0, 0.0, -2.0]),
+                       atol=1e-12)
 
 
 def test_svd_matches_lapack_singular_values():
@@ -193,9 +194,10 @@ def test_theorem_structure_on_gauged_operator(sign):
     rep = verify_theorem_structure(d, emb)
     assert rep["passed"]
     assert rep["rank"] == 8 and not rep["invertible"]
-    assert rep["reconstruction_error"] < 1e-10
+    f = rep["factors"]
+    assert np.linalg.norm(f.unitary_part.matrix @ f.psd_part.matrix - d.matrix) < 1e-10
     # singular values are 8 ones and 8 zeros: a partial isometry
-    assert np.allclose(sorted(rep["sigma"], reverse=True),
+    assert np.allclose(sorted(f.sigma, reverse=True),
                        [1.0] * 8 + [0.0] * 8, atol=1e-10)
 
 
