@@ -90,7 +90,10 @@ def _commutator_norm(h: PauliSum, h_image: PauliSum, q: PauliSum) -> float:
 def commutator_checks(L: int, tol_scale: float = 1.0,
                       flip_boundary: bool = False) -> list[dict]:
     """The symbolic conservation laws, then nine commutator norms taken on
-    Pauli sums at any L; one skip replaces the nine past the float range."""
+    Pauli sums at any L; one skip replaces the nine past the float range.
+
+    The thresholds are known before any norm: when one of them is infinite
+    the norms are not taken."""
     out = []
     for fam, ok in eta_conservation(L).items():
         out.append(_bool_check(f"symbolic [{fam}, eta] = 0", ok))
@@ -98,37 +101,50 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
         out.append(_bool_check(
             f"symbolic (U2 H U2_dag) P = H P for sign {sign:+d}",
             projected_commutation_check(L, sign)["passed"]))
-    records = []  # _check arguments
+    records = []  # (name, measure, threshold, above)
+    images: dict[str, PauliSum] = {}  # U H U† by Hamiltonian, once per battery
 
-    def conserved(name, h, u, p=None, h_image=None):
-        """Record ``‖[H, U P]‖_F`` and return ``U H U†``, taken here unless
-        given, so that each image is taken once per battery."""
-        h_image = conjugate_sum(u, h) if h_image is None else h_image
-        if p is None:  # a circuit alone: P = 1 is its own image
-            p = q = PauliSum.identity(h.layout)
-        else:
-            q = conjugate_sum(u, p)
-        tol = 1e-10 * max(h.frobenius_norm() * p.frobenius_norm(), 1.0) * tol_scale
-        records.append((name, _commutator_norm(h, h_image, q), tol))
-        return h_image
+    def conserved(name, key, h, u, p=None):
+        """Queue ``‖[H, U P]‖_F`` against ``1e-10 max(‖H‖_F ‖U P‖_F, 1)``,
+        with ``U H U†`` stored under ``key``."""
+        identity = PauliSum.identity(h.layout)
+
+        def measure():
+            if key not in images:
+                images[key] = conjugate_sum(u, h)
+            # a circuit alone: P = 1 is its own image
+            q = identity if p is None else conjugate_sum(u, p)
+            return _commutator_norm(h, images[key], q)
+
+        norm_p = (identity if p is None else p).frobenius_norm()
+        tol = 1e-10 * max(h.frobenius_norm() * norm_p, 1.0) * tol_scale
+        records.append((name, measure, tol, False))
 
     u2, ug = build_u2(L), build_u_gauged(L)
     hg = build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L))
-    conserved("[H1, U1]", build_hamiltonian(ModelSpec(Family.OPEN_H1, L)), build_u1(L))
-    conserved("[H2, U2]", build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2, L)), u2)
-    hg_image = conserved("[H_G, U_gauged]", hg, ug)
+    conserved("[H1, U1]", "H1", build_hamiltonian(ModelSpec(Family.OPEN_H1, L)),
+              build_u1(L))
+    conserved("[H2, U2]", "H2",
+              build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2, L)), u2)
+    conserved("[H_G, U_gauged]", "H_G", hg, ug)
     for sign, s, fam in zip((1, -1), "+-", _BOUNDARY_FAMILIES):
         if flip_boundary and sign == 1:
             fam = Family.ANTIPERIODIC_H_MINUS  # injected fault
         h = build_hamiltonian(ModelSpec(fam, L))
         # the factors of D± and D̂± in gauge.py
-        h_image = conserved(f"[H{s}, D{s}]", h, u2, symmetry_projector(sign, h.layout))
-        conserved(f"[H_G, D_hat{s}]", hg, ug,
-                  symmetry_projector(sign, hg.layout, on_ancilla=True), hg_image)
-        records.append((f"[H{s}, U2] nonzero", _commutator_norm(
-            h, h_image, PauliSum.identity(h.layout)), 0.1, True))
-    if all(math.isfinite(v) for r in records for v in r[1:3]):
-        return out + [_check(*r) for r in records]
+        conserved(f"[H{s}, D{s}]", f"H{s}", h, u2,
+                  symmetry_projector(sign, h.layout))
+        conserved(f"[H_G, D_hat{s}]", "H_G", hg, ug,
+                  symmetry_projector(sign, hg.layout, on_ancilla=True))
+        records.append((f"[H{s}, U2] nonzero",
+                        lambda h=h, s=s: _commutator_norm(
+                            h, images[f"H{s}"], PauliSum.identity(h.layout)),
+                        0.1, True))
+    if all(math.isfinite(r[2]) for r in records):
+        checks = [(name, measure(), tol, above)
+                  for name, measure, tol, above in records]
+        if all(math.isfinite(c[1]) for c in checks):
+            return out + [_check(*c) for c in checks]
     return out + [_skip("commutator norms", f"{L + 1} sites puts a norm or "
                         "threshold past the float range")]
 

@@ -1,13 +1,16 @@
 """Clifford gates, duality circuits, and automorphism verification.
 
 Every gate is defined once, in ``rotation_factors``, as a global phase times
-quarter rotations ``exp(±i pi/4 A)`` about Hermitian Pauli strings.  A
-circuit stores its gates left to right as the operator product is written
-(the leftmost applied last) and flattens them once into one phase and one
-tuple of factors.  On first use it compiles the factors into a stabilizer
-tableau, the images ``U g U†`` of every ``X_j`` and ``Z_j`` (Aaronson &
-Gottesman, quant-ph/0406196), and ``U p U†`` is then the product of the
-tableau rows that ``p``'s bits name.
+quarter rotations ``exp(±i pi/4 A)`` about Hermitian Pauli strings, each
+string written straight from the gate's bit positions.  A circuit stores its
+gates left to right as the operator product is written (the leftmost applied
+last) and flattens them once into one phase and one tuple of factors.  On
+first use it compiles the factors into a stabilizer tableau, the images
+``U g U†`` of every ``X_j`` and ``Z_j`` (Aaronson & Gottesman,
+quant-ph/0406196), held as three lists of plain integers: X rows, Z rows and
+row phases.  ``U p U†`` is then the product of the rows that ``p``'s bits
+name, folded on those integers; a sum is conjugated term by term into one
+dict, with no string per term.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from typing import Union
 
 import numpy as np
 
-from .pauli import (HilbertLayout, PauliString, PauliSum, SiteRef, _string,
-                    ancilla_layout, eta_string, matter_layout, mul, set_bits)
+from .pauli import (POWERS_OF_I, HilbertLayout, PauliString, PauliSum,
+                    SiteRef, _string, ancilla_layout, eta_string,
+                    matter_layout, set_bits)
 
 
 @dataclass(frozen=True)
@@ -68,25 +72,34 @@ def rotation_factors(layout: HilbertLayout, g: CliffordGate):
     This is the one definition of every gate: the tableau folds the factors
     and drops the global phase, the dense backend multiplies them and keeps
     it.  Conjugation by ``R(A, t)`` maps ``p`` to ``p`` if ``A`` and ``p``
-    commute and to ``(i t) A p`` if they anticommute.
+    commute and to ``(i t) A p`` if they anticommute.  A two-site gate on
+    one site twice gets the product of its one-site factors, as ``mul``
+    would give: ``X_i X_i = 1``, ``Z_c X_c = -X_c Z_c``.
     """
-    single = lambda kind, site: PauliString.single(layout, kind, site)
     if isinstance(g, QuarterRotation):
         if g.axis.layout is not layout and g.axis.layout != layout:
             raise ValueError("rotation axis layout differs from the operand's")
         return 0, ((g.axis, g.sign),)
+    bit = lambda site: 1 << layout.index_of(site)
     if isinstance(g, Hadamard):
-        z, x = single("Z", g.site), single("X", g.site)
-        return -2, ((z, 1), (x, 1), (z, 1))
+        b = bit(g.site)
+        z = _string(layout, 0, b, 0)
+        return -2, ((z, 1), (_string(layout, b, 0, 0), 1), (z, 1))
     if isinstance(g, Swap):
-        pair = lambda kind: mul(single(kind, g.i), single(kind, g.j))
-        return -1, ((pair("X"), 1), (pair("Y"), 1), (pair("Z"), 1))
+        bi, bj = bit(g.i), bit(g.j)
+        pair, same = bi ^ bj, bi == bj  # Y_i Y_j = -X_i Z_i X_j Z_j, or 1
+        return -1, ((_string(layout, pair, 0, 0), 1),
+                    (_string(layout, pair, pair, 0 if same else 2), 1),
+                    (_string(layout, 0, pair, 0), 1))
     if isinstance(g, ControlledX):
-        zc, xt = single("Z", g.control), single("X", g.target)
-        return 1, ((mul(zc, xt), 1), (zc, -1), (xt, -1))
+        bc, bt = bit(g.control), bit(g.target)
+        zc, xt = _string(layout, 0, bc, 0), _string(layout, bt, 0, 0)
+        return 1, ((_string(layout, bt, bc, 2 if bc == bt else 0), 1),
+                   (zc, -1), (xt, -1))
     if isinstance(g, ControlledZ):
-        zi, zj = single("Z", g.i), single("Z", g.j)
-        return -1, ((mul(zi, zj), -1), (zi, 1), (zj, 1))
+        bi, bj = bit(g.i), bit(g.j)
+        return -1, ((_string(layout, 0, bi ^ bj, 0), -1),
+                    (_string(layout, 0, bi, 0), 1), (_string(layout, 0, bj, 0), 1))
     raise TypeError(f"unknown gate {g!r}")
 
 
@@ -111,53 +124,108 @@ class CliffordCircuit:
         return len(self.gates)
 
     @cached_property
-    def images(self) -> tuple[PauliString, ...]:
-        """The tableau: ``U g U†`` for ``g = X_0 .. X_{n-1}, Z_0 .. Z_{n-1}``
-        (bit order), compiled on first use."""
+    def rows(self) -> tuple[list[int], list[int], list[int]]:
+        """The tableau as plain integers ``(x_rows, z_rows, phases)``: row ``r``
+        is ``U g_r U† = i^phases[r] X^x_rows[r] Z^z_rows[r]`` for
+        ``g = X_0 .. X_{n-1}, Z_0 .. Z_{n-1}`` (bit order), compiled on
+        first use, a block of rows at a time."""
         n = self.layout.total_sites
-        # bit-sliced: bit r of xs[j] / zs[j] is the X / Z bit at site j of
-        # row r, and row r carries the phase i^(p0_r + 2 p1_r)
-        xs = [1 << j for j in range(n)]
-        zs = [1 << (n + j) for j in range(n)]
-        p0 = p1 = 0
-        # U = R_1 R_2 ... R_k, so each row is conjugated by R_k first
-        for axis, sign in reversed(self.factors):
-            ax, az = set_bits(axis.x_mask), set_bits(axis.z_mask)
-            # t: parity of |A.z & row.x|, the sign of moving A's Z past the
-            # row's X in the product A row
-            t = 0
-            for j in az:
-                t ^= xs[j]
-            anti = t
-            for j in ax:
-                anti ^= zs[j]
-            if not anti:
-                continue
-            # anticommuting rows become (i sign) A row
-            for j in ax:
-                xs[j] ^= anti
-            for j in az:
-                zs[j] ^= anti
-            d = (axis.phase_exp + (1 if sign > 0 else 3)) % 4
-            if d & 1:
-                p1 ^= p0 & anti
-                p0 ^= anti
-            if d & 2:
-                p1 ^= anti
-            p1 ^= t & anti
-        xrows, zrows = _transpose(xs, 2 * n), _transpose(zs, 2 * n)
-        return tuple(_string(self.layout, x, z, (p0 >> r & 1) + 2 * (p1 >> r & 1))
-                     for r, (x, z) in enumerate(zip(xrows, zrows)))
+        # U = R_1 R_2 ... R_k, so each row is conjugated by R_k first; an
+        # anticommuting row becomes (i sign) A row
+        steps = [(set_bits(axis.x_mask), set_bits(axis.z_mask),
+                  (axis.phase_exp + (1 if sign > 0 else 3)) % 4)
+                 for axis, sign in reversed(self.factors)]
+        x_rows, z_rows, phases = [], [], []
+        block = max(8, _CHUNK_BYTES // max(n, 1))
+        for start in range(0, 2 * n, block):
+            xs, zs, ps = _compile_rows(steps, n, start, min(block, 2 * n - start))
+            x_rows += xs
+            z_rows += zs
+            phases += ps
+        return x_rows, z_rows, phases
+
+    @cached_property
+    def images(self) -> tuple[PauliString, ...]:
+        """The tableau rows as strings, built from ``rows`` when first read."""
+        return tuple(_string(self.layout, x, z, phase)
+                     for x, z, phase in zip(*self.rows))
+
+
+# bytes of bits of one block of tableau rows: a block of rows is compiled
+# and transposed at a time, so the tableau's columns never exist whole
+_CHUNK_BYTES = 1 << 20
+
+
+def _compile_rows(steps, n: int, start: int,
+                  width: int) -> tuple[list[int], list[int], list[int]]:
+    """Rows ``start .. start + width - 1`` of the tableau, each generator
+    folded through ``steps``, ``(x bits, z bits, d)`` for a quarter rotation
+    that multiplies an anticommuting row by ``i^d A``."""
+    # bit-sliced: bit r of xs[j] / zs[j] is the X / Z bit at site j of row
+    # start + r, and that row carries the phase i^(p0_r + 2 p1_r)
+    xs, zs = [0] * n, [0] * n
+    for r in range(start, start + width):
+        if r < n:
+            xs[r] = 1 << (r - start)
+        else:
+            zs[r - n] = 1 << (r - start)
+    p0 = p1 = 0
+    for ax, az, d in steps:
+        # t: parity of |A.z & row.x|, the sign of moving A's Z past the
+        # row's X in the product A row
+        t = 0
+        for j in az:
+            t ^= xs[j]
+        anti = t
+        for j in ax:
+            anti ^= zs[j]
+        if not anti:
+            continue
+        for j in ax:
+            xs[j] ^= anti
+        for j in az:
+            zs[j] ^= anti
+        if d & 1:
+            p1 ^= p0 & anti
+            p0 ^= anti
+        if d & 2:
+            p1 ^= anti
+        p1 ^= t & anti
+    return (_transpose(xs, width), _transpose(zs, width),
+            [(p0 >> r & 1) | (p1 >> r & 1) << 1 for r in range(width)])
 
 
 def _transpose(columns: list[int], n_rows: int) -> list[int]:
     """Bit ``r`` of ``columns[j]`` is bit ``j`` of row ``r``; return the rows."""
     nbytes = (n_rows + 7) // 8
-    packed = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in columns),
+    packed = np.frombuffer(b"".join([c.to_bytes(nbytes, "little") for c in columns]),
                            dtype=np.uint8).reshape(len(columns), nbytes)
     bits = np.unpackbits(packed, axis=1, count=n_rows, bitorder="little")
-    rows = np.packbits(bits.T, axis=1, bitorder="little")
-    return [int.from_bytes(r.tobytes(), "little") for r in rows]
+    data = np.packbits(bits.T, axis=1, bitorder="little").tobytes()
+    width = (len(columns) + 7) // 8  # bytes per row
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, n_rows * width, width)]
+
+
+def _fold(rows: tuple[list[int], list[int], list[int]], n: int,
+          x_mask: int, z_mask: int, phase: int) -> tuple[int, int, int]:
+    """``(x, z, phase)`` of ``U p U†`` for ``p = i^phase X^x_mask Z^z_mask``.
+
+    ``p = i^phase prod_j X_j^x_j prod_j Z_j^z_j`` and conjugation is a
+    homomorphism: multiply the rows in that order, as in ``pauli.mul``.
+    """
+    x_rows, z_rows, phases = rows
+    x = z = 0
+    for mask, offset in ((x_mask, 0), (z_mask, n)):
+        while mask:
+            low = mask & -mask
+            r = offset + low.bit_length() - 1
+            rx = x_rows[r]
+            phase += phases[r] + 2 * (z & rx).bit_count()
+            x ^= rx
+            z ^= z_rows[r]
+            mask ^= low
+    return x, z, phase & 3
 
 
 def conjugate_circuit(c: CliffordCircuit, p: PauliString) -> PauliString:
@@ -165,32 +233,40 @@ def conjugate_circuit(c: CliffordCircuit, p: PauliString) -> PauliString:
     layout = c.layout
     if layout is not p.layout and layout != p.layout:
         raise ValueError("circuit/operand layout mismatch")
-    # p = i^phase prod_j X_j^x_j prod_j Z_j^z_j, and conjugation is a
-    # homomorphism: multiply the rows in that order, as in pauli.mul
-    rows, n = c.images, layout.total_sites
-    x = z = 0
-    phase = p.phase_exp
-    for mask, offset in ((p.x_mask, 0), (p.z_mask, n)):
-        while mask:
-            low = mask & -mask
-            row = rows[offset + low.bit_length() - 1]
-            rx = row.x_mask
-            phase += row.phase_exp + 2 * (z & rx).bit_count()
-            x ^= rx
-            z ^= row.z_mask
-            mask ^= low
-    return _string(layout, x, z, phase & 3)
+    x, z, phase = _fold(c.rows, layout.total_sites, p.x_mask, p.z_mask,
+                        p.phase_exp)
+    return _string(layout, x, z, phase)
 
 
 def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
-    """Exact ``g p g†`` for a single gate."""
-    return conjugate_circuit(CliffordCircuit(p.layout, (g,)), p)
+    """Exact ``g p g†`` for a single gate: its quarter rotations folded on
+    ``p``, the rightmost (innermost) first."""
+    layout = p.layout
+    x, z, phase = p.x_mask, p.z_mask, p.phase_exp
+    for axis, sign in reversed(rotation_factors(layout, g)[1]):
+        ax, az = axis.x_mask, axis.z_mask
+        swaps = az & x
+        if ((ax & z) ^ swaps).bit_count() & 1:  # anticommuting: (i sign) A p
+            phase += (axis.phase_exp + 2 * swaps.bit_count()
+                      + (1 if sign > 0 else 3))
+            x ^= ax
+            z ^= az
+    return _string(layout, x, z, phase & 3)
 
 
 def conjugate_sum(c: CliffordCircuit, h: PauliSum) -> PauliSum:
-    """``U h U†`` for a sum, term by term."""
-    return PauliSum.from_strings(
-        h.layout, ((coeff, conjugate_circuit(c, p)) for coeff, p in h))
+    """``U h U†`` for a sum, term by term in sorted term order, so that the
+    coefficients that land on one term add up in an order that does not
+    depend on the dict order of ``h``."""
+    if c.layout is not h.layout and c.layout != h.layout:
+        raise ValueError("circuit/operand layout mismatch")
+    rows, n = c.rows, c.layout.total_sites
+    acc: dict[tuple[int, int], complex] = {}
+    for (x, z), coeff in sorted(h.terms.items()):
+        gx, gz, phase = _fold(rows, n, x, z, 0)
+        key = (gx, gz)
+        acc[key] = acc.get(key, 0j) + coeff * POWERS_OF_I[phase]
+    return PauliSum(h.layout, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +294,17 @@ def build_u1(L: int) -> CliffordCircuit:
 
 
 def build_u2(L: int) -> CliffordCircuit:
-    """Quarter-rotation duality circuit for the self-dual closed chain."""
+    """Quarter-rotation duality circuit for the self-dual closed chain:
+    ``exp(-i pi/4 X_j)`` and ``exp(-i pi/4 Z_j Z_{j+1})`` over j=1..L-1, then
+    ``exp(-i pi/4 X_L)``."""
     if L < 2:
         raise ValueError("L must be >= 2")
     layout = matter_layout(L)
     gates: list[CliffordGate] = []
-    for j in range(1, L):
-        gates.append(QuarterRotation(PauliString.single(layout, "X", j), -1))
-        gates.append(QuarterRotation(
-            mul(PauliString.single(layout, "Z", j),
-                PauliString.single(layout, "Z", j + 1)), -1))
-    gates.append(QuarterRotation(PauliString.single(layout, "X", L), -1))
+    for b in range(L - 1):  # bit b is site b + 1
+        gates.append(QuarterRotation(_string(layout, 1 << b, 0, 0), -1))
+        gates.append(QuarterRotation(_string(layout, 0, 3 << b, 0), -1))
+    gates.append(QuarterRotation(_string(layout, 1 << (L - 1), 0, 0), -1))
     return CliffordCircuit(layout, tuple(gates))
 
 
@@ -263,50 +339,54 @@ class DualityMap:
     entries: tuple[tuple[PauliString, PauliString], ...]
 
 
-def _zz(layout: HilbertLayout, i: SiteRef, j: SiteRef) -> PauliString:
-    return mul(PauliString.single(layout, "Z", i),
-               PauliString.single(layout, "Z", j))
+# Table strings are written from bit masks: matter site j is bit j - 1, and
+# a two-site mask is the XOR of its bits, so a repeated site cancels as in
+# ``mul``.  Every table string has phase 0.
+
+def _x(layout: HilbertLayout, b: int) -> PauliString:
+    return _string(layout, 1 << b, 0, 0)
+
+
+def _z(layout: HilbertLayout, mask: int) -> PauliString:
+    return _string(layout, 0, mask, 0)
 
 
 def phi1_table(L: int) -> DualityMap:
     layout = matter_layout(L)
-    x = lambda j: PauliString.single(layout, "X", j)
     entries = []
     for j in range(1, L):
         r = L - j
-        entries.append((x(j), _zz(layout, r, r + 1)))
-        entries.append((_zz(layout, j, j + 1), x(r)))
-    entries.append((eta_string(layout), PauliString.single(layout, "Z", L)))
+        entries.append((_x(layout, j - 1), _z(layout, 3 << (r - 1))))
+        entries.append((_z(layout, 3 << (j - 1)), _x(layout, r - 1)))
+    entries.append((eta_string(layout), _z(layout, 1 << (L - 1))))
     return DualityMap("phi1", tuple(entries))
 
 
 def phi2_table(L: int) -> DualityMap:
     layout = matter_layout(L)
-    x = lambda j: PauliString.single(layout, "X", j)
     eta = eta_string(layout)
     entries = []
     for j in range(1, L):
-        entries.append((x(j), _zz(layout, j, j + 1)))
-        entries.append((_zz(layout, j, j + 1), x(j + 1)))
-    boundary = mul(eta, _zz(layout, L, 1))
-    entries.append((x(L), boundary))
-    entries.append((boundary, x(1)))
+        entries.append((_x(layout, j - 1), _z(layout, 3 << (j - 1))))
+        entries.append((_z(layout, 3 << (j - 1)), _x(layout, j)))
+    # eta Z_L Z_1
+    boundary = _string(layout, eta.x_mask, (1 << (L - 1)) ^ 1, 0)
+    entries.append((_x(layout, L - 1), boundary))
+    entries.append((boundary, _x(layout, 0)))
     entries.append((eta, eta))
     return DualityMap("phi2", tuple(entries))
 
 
 def phi_gauged_table(L: int) -> DualityMap:
     layout = ancilla_layout(L)
-    x = lambda j: PauliString.single(layout, "X", j)
     entries = []
     for j in range(1, L):
-        entries.append((_zz(layout, j, j + 1), x(j + 1)))
-        entries.append((x(j), _zz(layout, j, j + 1)))
-    boundary = mul(mul(PauliString.single(layout, "Z", L),
-                       PauliString.single(layout, "Z", "L+1")),
-                   PauliString.single(layout, "Z", 1))
-    entries.append((boundary, x(1)))
-    entries.append((x(L), boundary))
+        entries.append((_z(layout, 3 << (j - 1)), _x(layout, j)))
+        entries.append((_x(layout, j - 1), _z(layout, 3 << (j - 1))))
+    # Z_L Z_{L+1} Z_1, the ancilla L+1 on bit L
+    boundary = _z(layout, (1 << (L - 1)) ^ (1 << layout.index_of("L+1")) ^ 1)
+    entries.append((boundary, _x(layout, 0)))
+    entries.append((_x(layout, L - 1), boundary))
     return DualityMap("phi_gauged", tuple(entries))
 
 
@@ -315,13 +395,23 @@ def verify_automorphism(c: CliffordCircuit, m: DualityMap) -> dict:
 
     Runs purely symbolically, so very long chains are cheap.
     """
+    # most table strings are the generator of one entry and the image of
+    # another: format each once per call
+    text: dict[tuple[int, int, int, str], str] = {}
+
+    def fmt(p: PauliString) -> str:
+        key = (p.x_mask, p.z_mask, p.phase_exp, p.layout.header)
+        if key not in text:
+            text[key] = str(p)
+        return text[key]
+
     records = []
     for gen, image in m.entries:
         got = conjugate_circuit(c, gen)
         ok = got == image
-        expected = str(image)
+        expected = fmt(image)
         records.append({
-            "generator": str(gen),
+            "generator": fmt(gen),
             "expected": expected,
             "got": expected if ok else str(got),  # equal: format once
             "ok": ok,

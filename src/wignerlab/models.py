@@ -4,7 +4,9 @@ All couplings sit at the self-dual point (every coefficient is -1).  Layouts:
 matter-only for the open/closed/(anti)periodic chains, one boundary ancilla
 ``L+1`` for the minimally gauged chain, and one link per bond (labels
 ``1/2, 3/2, ..., L-1/2``, with ``1/2`` the boundary ``(L,1)`` link) for the
-fully gauged chain.
+fully gauged chain.  Every operator is written straight from its bit masks:
+matter site ``j`` is bit ``j - 1`` and gauge slots follow, and a product of
+Z's on several sites is the XOR of their bits.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 from .clifford import (CliffordCircuit, DualityMap, Hadamard, build_u2,
                        conjugate_sum)
-from .pauli import (HilbertLayout, PauliString, PauliSum, ancilla_layout,
-                    eta_string, link_layout, matter_layout, mul,
+from .pauli import (HilbertLayout, PauliString, PauliSum, _string,
+                    ancilla_layout, eta_string, link_layout, matter_layout,
                     sum_commutator, symmetry_projector)
 
 
@@ -52,40 +54,47 @@ def _link_label(j: int, L: int) -> str:
     return f"{2 * j + 1}/2" if j < L else "1/2"
 
 
+def _link_bit(j: int, L: int) -> int:
+    """Bit of that link in ``link_layout(L)``: label ``(2k+1)/2`` is slot
+    ``k``, so the (j, j+1) bond's link is slot ``j mod L``."""
+    return L + j % L
+
+
 def build_hamiltonian(spec: ModelSpec) -> PauliSum:
     """Exact term list for the requested model family."""
     L = spec.L
     layout = spec.layout
-    z = lambda j: PauliString.single(layout, "Z", j)
-    x = lambda j: PauliString.single(layout, "X", j)
+    terms: dict[tuple[int, int], complex] = {}
 
-    terms = []
+    def add(x: int, z: int, c: int = -1) -> None:
+        terms[x, z] = terms.get((x, z), 0j) + c
+
     if spec.family is Family.FULLY_GAUGED_HG:
-        for j in range(1, L + 1):
-            bond = mul(mul(z(j), PauliString.single(layout, "X", _link_label(j, L))),
-                       z(j % L + 1))
-            terms += [(-1, x(j)), (-1, bond)]
-        return PauliSum.from_strings(layout, terms)
+        for b in range(L):  # bit b is site b + 1
+            add(1 << b, 0)
+            # Z_j X_link Z_{j+1}
+            add(1 << _link_bit(b + 1, L), (1 << b) ^ (1 << (b + 1) % L))
+        return PauliSum(layout, terms)
 
-    for j in range(1, L):
-        terms += [(-1, mul(z(j), z(j + 1))), (-1, x(j))]
+    for b in range(L - 1):
+        add(0, 3 << b)
+        add(1 << b, 0)
     if spec.family is Family.OPEN_H1:
-        return PauliSum.from_strings(layout, terms)
-    terms.append((-1, x(L)))
-    zz = mul(z(L), z(1))
+        return PauliSum(layout, terms)
+    add(1 << (L - 1), 0)
+    zz = (1 << (L - 1)) ^ 1  # Z_L Z_1
     if spec.family is Family.SELF_DUAL_CLOSED_H2:
         # the eta-dressed boundary bond is itself a single Pauli string
-        terms.append((-1, mul(eta_string(layout), zz)))
+        add(eta_string(layout).x_mask, zz)
     elif spec.family is Family.PERIODIC_H_PLUS:
-        terms.append((-1, zz))
+        add(0, zz)
     elif spec.family is Family.ANTIPERIODIC_H_MINUS:
-        terms.append((1, zz))
+        add(0, zz, 1)
     elif spec.family is Family.MINIMAL_GAUGED_HG:
-        terms.append((-1, mul(mul(z(L), PauliString.single(layout, "Z", "L+1")),
-                              z(1))))
+        add(0, zz ^ (1 << layout.index_of("L+1")))
     else:
         raise ValueError(f"unknown family {spec.family}")
-    return PauliSum.from_strings(layout, terms)
+    return PauliSum(layout, terms)
 
 
 def eigensolve_hamiltonian(spec: ModelSpec) -> PauliSum:
@@ -105,9 +114,8 @@ def gauss_law_operators(L: int) -> list[PauliSum]:
     layout = link_layout(L)
     out = []
     for j in range(1, L + 1):
-        left = PauliString.single(layout, "Z", f"{2 * j - 1}/2")
-        right = PauliString.single(layout, "Z", _link_label(j, L))
-        g = mul(mul(left, PauliString.single(layout, "X", j)), right)
+        left, right = _link_bit(j - 1, L), _link_bit(j, L)
+        g = _string(layout, 1 << (j - 1), (1 << left) ^ (1 << right), 0)
         out.append(PauliSum.from_string(g))
     return out
 
@@ -115,10 +123,9 @@ def gauss_law_operators(L: int) -> list[PauliSum]:
 def dual_string_z(L: int, j: int) -> PauliString:
     """Disorder-dressed Z: the X-string over links 3/2..j-1/2 times Z_j."""
     layout = link_layout(L)
-    s = PauliString.single(layout, "Z", j)
-    for k in range(2, j + 1):
-        s = mul(PauliString.single(layout, "X", f"{2 * k - 1}/2"), s)
-    return s
+    z = 1 << layout.index_of(j)
+    # links 3/2 .. (2j-1)/2 are gauge slots 1 .. j-1, bits L+1 .. L+j-1
+    return _string(layout, ((1 << (j - 1)) - 1) << (L + 1), z, 0)
 
 
 def dual_variable_map(L: int) -> DualityMap:
@@ -126,9 +133,9 @@ def dual_variable_map(L: int) -> DualityMap:
     layout = link_layout(L)
     entries = []
     for j in range(1, L + 1):
-        entries.append((PauliString.single(layout, "Z", j), dual_string_z(L, j)))
-        entries.append((PauliString.single(layout, "X", j),
-                        PauliString.single(layout, "X", j)))
+        entries.append((_string(layout, 0, 1 << (j - 1), 0), dual_string_z(L, j)))
+        x = _string(layout, 1 << (j - 1), 0, 0)
+        entries.append((x, x))
     return DualityMap("dual_variables", tuple(entries))
 
 
@@ -136,10 +143,7 @@ def emergent_boundary_z(L: int) -> PauliString:
     """Product of all link X operators: the emergent ancilla Z of the
     minimally gauged model, expressed in the fully gauged layout."""
     layout = link_layout(L)
-    s = PauliString.identity(layout)
-    for j in range(1, L + 1):
-        s = mul(s, PauliString.single(layout, "X", f"{2 * j - 1}/2"))
-    return s
+    return _string(layout, ((1 << L) - 1) << L, 0, 0)
 
 
 def projected_commutation_check(L: int, sign: int) -> dict:
@@ -147,14 +151,16 @@ def projected_commutation_check(L: int, sign: int) -> dict:
 
     Computes the circuit image of H^± under the self-dual circuit and checks
     (U H U†) P± = H P± as a PauliSum identity; the eta-dressed boundary image
-    collapses onto the sector by eta P± = ± P±.
+    collapses onto the sector by eta P± = ± P±.  The residual is taken as
+    (U H U† - H) P±, where the difference has only the boundary terms; the
+    coefficients are exact, so it equals (U H U†) P± - H P± term for term.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     fam = Family.PERIODIC_H_PLUS if sign > 0 else Family.ANTIPERIODIC_H_MINUS
     h = build_hamiltonian(ModelSpec(fam, L))
     proj = symmetry_projector(sign, h.layout)
-    residual = conjugate_sum(build_u2(L), h) * proj - h * proj
+    residual = (conjugate_sum(build_u2(L), h) - h) * proj
     return {
         "L": L,
         "sign": sign,

@@ -7,13 +7,18 @@ A string is stored as a pair of bit masks over the sites of a
 
 so ``Y_j = i * X_j Z_j`` is the string with both bits set at ``j`` and
 ``phase_exp = 1``.  All group operations are exact integer arithmetic; no
-floating phases ever enter the symbolic kernel.
+floating phases ever enter the symbolic kernel.  The package's builders
+write each string straight from its masks, and a ``PauliSum`` is a dict
+keyed by ``(x_mask, z_mask)``, so sums are built and combined without a
+string object per term; ``PauliString.single`` and ``mul`` are the
+per-site API for callers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 SiteRef = Union[int, str]  # matter sites are 1-based ints, gauge slots are labels
@@ -21,6 +26,9 @@ SiteRef = Union[int, str]  # matter sites are 1-based ints, gauge slots are labe
 #: coefficient magnitude below which PauliSum terms are dropped after
 #: floating-coefficient arithmetic
 COEF_TOL = 1e-12
+
+#: ``1j ** k`` for ``k = 0..3``, the coefficient of a string's phase
+POWERS_OF_I = tuple(1j ** k for k in range(4))
 
 
 class LayoutMismatchError(ValueError):
@@ -64,6 +72,18 @@ class HilbertLayout:
         except ValueError:
             raise ValueError(f"unknown gauge slot {site!r}") from None
 
+    @cached_property
+    def site_labels(self) -> tuple[str, ...]:
+        """Text label of each bit: the matter site number, or the gauge
+        slot's label in brackets."""
+        return (*map(str, range(1, self.n_matter + 1)),
+                *(f"[{label}]" for label in self.gauge_slots))
+
+    @cached_property
+    def header(self) -> str:
+        """``L=<n>, gauge=[<labels>]``, the header of every text form."""
+        return f"L={self.n_matter}, gauge=[{','.join(self.gauge_slots)}]"
+
 
 def matter_layout(L: int) -> HilbertLayout:
     return HilbertLayout(L)
@@ -81,6 +101,8 @@ def link_layout(L: int) -> HilbertLayout:
 
 def set_bits(mask: int) -> list[int]:
     """Positions of the set bits of ``mask``, ascending."""
+    if not mask & (mask - 1):  # zero or one bit, as most gate masks are
+        return [mask.bit_length() - 1] if mask else []
     out = []
     while mask:
         low = mask & -mask
@@ -98,8 +120,8 @@ class PauliString:
     """Immutable value ``i**phase_exp * prod_j X_j**x_j Z_j**z_j`` on ``layout``.
 
     The constructor checks that the masks fit the layout; products,
-    single-site strings and tableau rows, which fit whenever their inputs
-    do, are built by the unchecked ``_string``.
+    single-site strings, builder strings and tableau rows, which fit
+    whenever their inputs do, are built by the unchecked ``_string``.
     """
 
     __slots__ = ("layout", "x_mask", "z_mask", "phase_exp")
@@ -171,7 +193,7 @@ class PauliString:
 
     @property
     def coefficient(self) -> complex:
-        return 1j ** self.phase_exp
+        return POWERS_OF_I[self.phase_exp]
 
     # -- text form ---------------------------------------------------------
 
@@ -237,11 +259,9 @@ class PauliSum:
                  terms: dict[tuple[int, int], complex] | None = None,
                  tol: float = COEF_TOL):
         self.layout = layout
-        self.terms: dict[tuple[int, int], complex] = {}
-        if terms:
-            for key, c in terms.items():
-                if c != 0 and abs(c) > tol:
-                    self.terms[key] = c
+        self.terms: dict[tuple[int, int], complex] = (
+            {key: c for key, c in terms.items() if c != 0 and abs(c) > tol}
+            if terms else {})
 
     # -- constructors ------------------------------------------------------
 
@@ -346,9 +366,24 @@ class PauliSum:
 
 
 def sum_commutator(a: PauliSum, b: PauliSum) -> PauliSum:
-    """``ab - ba`` in canonical form; the empty sum encodes exact commutation."""
+    """``ab - ba`` in canonical form; the empty sum encodes exact commutation.
+
+    One pass over the term pairs: commuting pairs cancel, and an
+    anticommuting pair has ``pq - qp = 2pq``.
+    """
     _check_layout(a, b)
-    return a * b - b * a
+    acc: dict[tuple[int, int], complex] = {}
+    for (x1, z1), c1 in a.terms.items():
+        for (x2, z2), c2 in b.terms.items():
+            swaps = z1 & x2
+            if not ((x1 & z2) ^ swaps).bit_count() & 1:
+                continue
+            c = 2 * (c1 * c2)  # times (-1)^swaps, as in PauliSum.__mul__
+            if swaps.bit_count() & 1:
+                c = -c
+            key = (x1 ^ x2, z1 ^ z2)
+            acc[key] = acc.get(key, 0j) + c
+    return PauliSum(a.layout, acc)
 
 
 def symmetry_projector(sign: int, layout: HilbertLayout,
@@ -364,41 +399,41 @@ def symmetry_projector(sign: int, layout: HilbertLayout,
     if on_ancilla:
         if "L+1" not in layout.gauge_slots:
             raise ValueError("layout has no ancilla slot L+1")
-        s = PauliString.single(layout, "Z", "L+1")
+        key = (0, 1 << layout.index_of("L+1"))
     else:
-        s = eta_string(layout)
-    return PauliSum(layout, {(0, 0): 0.5, (s.x_mask, s.z_mask): 0.5 * sign})
+        eta = eta_string(layout)
+        key = (eta.x_mask, eta.z_mask)
+    return PauliSum(layout, {(0, 0): 0.5, key: 0.5 * sign})
 
 
 # ---------------------------------------------------------------------------
 # text form
 # ---------------------------------------------------------------------------
 
-def format_layout(layout: HilbertLayout) -> str:
-    """The layout header ``L=<n>, gauge=[<labels>]`` shared by all text forms."""
-    return f"L={layout.n_matter}, gauge=[{','.join(layout.gauge_slots)}]"
+def _format_body(layout: HilbertLayout, xm: int, zm: int) -> str:
+    labels = layout.site_labels
+    y = xm & zm
+    toks = []
+    rest = xm | zm
+    while rest:
+        low = rest & -rest
+        kind = "Y" if y & low else "X" if xm & low else "Z"
+        toks.append(kind + labels[low.bit_length() - 1])
+        rest ^= low
+    return " ".join(toks) if toks else "I"
 
 
 def format_string(p: PauliString) -> str:
     """Render e.g. ``(+1i^0) X1 Z3 | L=4, gauge=[]`` (Y-folded exponent)."""
-    layout, xm, zm = p.layout, p.x_mask, p.z_mask
-    n, slots = layout.n_matter, layout.gauge_slots
-    toks = []
-    for bit in set_bits(xm | zm):
-        x, z = xm >> bit & 1, zm >> bit & 1
-        kind = "Y" if x and z else "X" if x else "Z"
-        # matter sites by number, gauge slots by bracketed label
-        toks.append(kind + (str(bit + 1) if bit < n else f"[{slots[bit - n]}]"))
-    n_y = (xm & zm).bit_count()
-    exp = (p.phase_exp - n_y) % 4  # i^p X Z = i^(p-1) Y per Y site
-    body = " ".join(toks) if toks else "I"
-    return f"(+1i^{exp}) {body} | {format_layout(layout)}"
+    xm, zm = p.x_mask, p.z_mask
+    exp = (p.phase_exp - (xm & zm).bit_count()) % 4  # i^p X Z = i^(p-1) Y per Y site
+    return f"(+1i^{exp}) {_format_body(p.layout, xm, zm)} | {p.layout.header}"
 
 
 def format_sum(s: PauliSum) -> str:
-    lines = [format_layout(s.layout)]
-    for c, p in s:
-        body = format_string(p).split(" | ")[0]
-        lines.append(f"{c!r}  {body}")
+    lines = [s.layout.header]
+    for (x, z), c in sorted(s.terms.items()):
+        exp = -(x & z).bit_count() % 4  # the key is the phase-free string
+        lines.append(f"{c!r}  (+1i^{exp}) {_format_body(s.layout, x, z)}")
     return "\n".join(lines)
 

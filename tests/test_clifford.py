@@ -224,7 +224,7 @@ def test_conjugate_sum_matches_termwise_fold():
 def test_materialize_leaves_tableau_uncompiled():
     c = build_u2(3)
     materialize(c)
-    assert "images" not in vars(c)
+    assert "rows" not in vars(c) and "images" not in vars(c)
 
 
 def test_circuit_layout_mismatch_rejected():

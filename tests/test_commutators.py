@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_circuit_matrix, oracle_string_matrix
+from wignerlab import cli
 from wignerlab.cli import _commutator_norm, commutator_checks, gauge_checks, main
 from wignerlab.clifford import build_u1, build_u2, build_u_gauged, conjugate_sum
 from wignerlab.dense import materialize
@@ -163,3 +164,13 @@ def test_commutators_past_the_float_range_skip_by_name(L):
     assert last["status"] == "skipped"
     assert last["reason"] == (f"{L + 1} sites puts a norm or threshold past "
                               "the float range")
+
+
+def test_commutators_past_the_float_range_take_no_norm(monkeypatch):
+    # every threshold is infinite at 1101 sites, so no image or norm is taken
+    def forbidden(*_):
+        raise AssertionError("norm taken past the float range")
+
+    monkeypatch.setattr(cli, "_commutator_norm", forbidden)
+    monkeypatch.setattr(cli, "conjugate_sum", forbidden)
+    assert commutator_checks(1100)[-1]["status"] == "skipped"

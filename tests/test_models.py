@@ -133,6 +133,19 @@ def test_projected_commutation_wrong_sector_fails():
     assert not (conj * proj - h * proj).is_zero()
 
 
+@pytest.mark.parametrize("L", [2, 3, 5, 8])
+def test_projected_residual_factors_exactly(L):
+    # the check takes (U H U† - H) P; with exact coefficients it equals
+    # U H U† P - H P term for term, in either sector, passing or not
+    from wignerlab.clifford import build_u2, conjugate_sum
+    for fam in (Family.PERIODIC_H_PLUS, Family.ANTIPERIODIC_H_MINUS):
+        h = build_hamiltonian(ModelSpec(fam, L))
+        image = conjugate_sum(build_u2(L), h)
+        for sign in (1, -1):
+            proj = symmetry_projector(sign, h.layout)
+            assert ((image - h) * proj).terms == (image * proj - h * proj).terms
+
+
 # -- Gauss laws and dual variables ---------------------------------------------
 
 @pytest.mark.parametrize("L", [2, 3, 4])

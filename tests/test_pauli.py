@@ -15,8 +15,8 @@ from conftest import oracle_string_matrix
 from wignerlab.clifford import build_u_gauged, conjugate_circuit
 from wignerlab.pauli import (LayoutMismatchError, PauliString, PauliSum,
                              ancilla_layout, commutes, eta_string,
-                             format_layout, format_string, format_sum,
-                             link_layout, matter_layout, mul, sum_commutator,
+                             format_string, format_sum, link_layout,
+                             matter_layout, mul, sum_commutator,
                              symmetry_projector)
 
 LAYOUT3 = matter_layout(3)
@@ -314,7 +314,8 @@ def per_site_format(p: PauliString) -> str:
         elif z:
             toks.append("Z" + token)
     body = " ".join(toks) if toks else "I"
-    return f"(+1i^{(p.phase_exp - n_y) % 4}) {body} | {format_layout(p.layout)}"
+    header = f"L={lay.n_matter}, gauge=[{','.join(lay.gauge_slots)}]"
+    return f"(+1i^{(p.phase_exp - n_y) % 4}) {body} | {header}"
 
 
 @settings(max_examples=200)
