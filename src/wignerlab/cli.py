@@ -30,11 +30,12 @@ from .dense import (TAU_EIG_PER_DIM, ConvergenceError, DenseOperator,
 from .gauge import (SectorEmbedding, ancilla_sector_embedding, build_d_hat,
                     build_d_noninvertible, embed_state, gauss_sector_projector,
                     sector_blocks, spectral_equivalence_check)
-from .models import (Family, ModelSpec, build_hamiltonian,
+from .models import (BOUNDARY_FAMILY, Family, ModelSpec, build_hamiltonian,
                      eigensolve_hamiltonian, eta_conservation,
                      projected_commutation_check)
 from .pauli import (PauliString, PauliSum, ancilla_layout, sum_commutator,
                     symmetry_projector)
+from .polar import corollary_check, polar_decompose_all, verify_theorem_structure
 
 
 def _frob(m: np.ndarray) -> float:
@@ -66,8 +67,6 @@ _CIRCUITS = {"u1": (build_u1, phi1_table), "u2": (build_u2, phi2_table),
              "u-gauged": (build_u_gauged, phi_gauged_table)}
 
 _MODELS = {f.value: f for f in Family}
-# the boundary-sector chains of the + and - sectors, in that order
-_BOUNDARY_FAMILIES = (Family.PERIODIC_H_PLUS, Family.ANTIPERIODIC_H_MINUS)
 
 
 def automorphism_checks(circuit: str, L: int) -> list[dict]:
@@ -127,10 +126,10 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
     conserved("[H2, U2]", "H2",
               build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2, L)), u2)
     conserved("[H_G, U_gauged]", "H_G", hg, ug)
-    for sign, s, fam in zip((1, -1), "+-", _BOUNDARY_FAMILIES):
-        if flip_boundary and sign == 1:
-            fam = Family.ANTIPERIODIC_H_MINUS  # injected fault
-        h = build_hamiltonian(ModelSpec(fam, L))
+    for sign, s in zip((1, -1), "+-"):
+        # injected fault: the + sector gets the - sector's chain
+        h = build_hamiltonian(ModelSpec(
+            BOUNDARY_FAMILY[-1 if flip_boundary else sign], L))
         # the factors of D± and D̂± in gauge.py
         conserved(f"[H{s}, D{s}]", f"H{s}", h, u2,
                   symmetry_projector(sign, h.layout))
@@ -196,7 +195,6 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
 
 
 def polar_checks(L: int, sign: int, seed: int, tol_scale: float = 1.0) -> list[dict]:
-    from .polar import corollary_check, polar_decompose_all, verify_theorem_structure
     why = over_limit(L + 1, "eigensolve")
     if why:
         return [_skip("polar checks", why)]
@@ -263,8 +261,8 @@ def gauge_checks(L: int, tol_scale: float = 1.0) -> list[dict]:
                       sum_commutator(h_full, proj).frobenius_norm(),
                       1e-10 * max(h_full.frobenius_norm(), 1.0) * tol_scale))
     hg = materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L)))
-    for blk, fam, s in zip(sector_blocks(hg, L), _BOUNDARY_FAMILIES, "+-"):
-        h = materialize(build_hamiltonian(ModelSpec(fam, L)))
+    for blk, sign, s in zip(sector_blocks(hg, L), (1, -1), "+-"):
+        h = materialize(build_hamiltonian(ModelSpec(BOUNDARY_FAMILY[sign], L)))
         out.append(_check(f"H_G ({s}) block equals H{s}",
                           float(np.abs(blk - h.matrix).max()), 1e-12))
     return out

@@ -1,16 +1,17 @@
 """Clifford gates, duality circuits, and automorphism verification.
 
 Every gate is defined once, in ``rotation_factors``, as a global phase times
-quarter rotations ``exp(±i pi/4 A)`` about Hermitian Pauli strings, each
-string written straight from the gate's bit positions.  A circuit stores its
-gates left to right as the operator product is written (the leftmost applied
-last) and flattens them once into one phase and one tuple of factors.  On
-first use it compiles the factors into a stabilizer tableau, the images
-``U g U†`` of every ``X_j`` and ``Z_j`` (Aaronson & Gottesman,
-quant-ph/0406196), held as three lists of plain integers: X rows, Z rows and
-row phases.  ``U p U†`` is then the product of the rows that ``p``'s bits
-name, folded on those integers; a sum is conjugated term by term into one
-dict, with no string per term.
+quarter rotations ``(1 + B)/sqrt(2)``, ``B = i^d X^x Z^z``, each an integer
+triple ``(x, z, d)`` written straight from the gate's bit positions.  A
+circuit stores its gates left to right as the operator product is written
+(the leftmost applied last) and flattens them once into one phase and one
+tuple of triples, read as they are by the tableau, ``conjugate_gate`` and the
+dense backend.  On first use it compiles them into a stabilizer tableau, the
+images ``U g U†`` of every ``X_j`` and ``Z_j`` (Aaronson & Gottesman,
+quant-ph/0406196): three lists of plain integers, X rows, Z rows and row
+phases.  ``U p U†`` is the product of the rows that ``p``'s bits name, folded
+on those integers; a sum is conjugated and a duality table checked on them
+with no string per term or entry.
 """
 
 from __future__ import annotations
@@ -66,51 +67,48 @@ CliffordGate = Union[ControlledX, ControlledZ, Swap, Hadamard, QuarterRotation]
 
 
 def rotation_factors(layout: HilbertLayout, g: CliffordGate):
-    """``(s, ((A1, t1), (A2, t2), ...))`` with
-    ``g = e^{i s pi/4} R(A1, t1) R(A2, t2) ...``, ``R(A, t) = exp(i t pi/4 A)``.
+    """``(s, ((x1, z1, d1), (x2, z2, d2), ...))`` with
+    ``g = e^{i s pi/4} R_1 R_2 ...``, ``R_k = (1 + B_k)/sqrt(2)`` and
+    ``B_k = i^d_k X^x_k Z^z_k``.
 
     This is the one definition of every gate: the tableau folds the factors
     and drops the global phase, the dense backend multiplies them and keeps
-    it.  Conjugation by ``R(A, t)`` maps ``p`` to ``p`` if ``A`` and ``p``
-    commute and to ``(i t) A p`` if they anticommute.  A two-site gate on
-    one site twice gets the product of its one-site factors, as ``mul``
+    it.  ``R(A, t) = exp(i t pi/4 A)`` is ``B = i t A``, so ``d`` is ``A``'s
+    phase plus ``2 - t``.  Conjugation by ``R`` maps ``p`` to ``p`` if ``B``
+    and ``p`` commute and to ``B p`` if they anticommute.  A two-site gate
+    on one site twice gets the product of its one-site factors, as ``mul``
     would give: ``X_i X_i = 1``, ``Z_c X_c = -X_c Z_c``.
     """
     if isinstance(g, QuarterRotation):
-        if g.axis.layout is not layout and g.axis.layout != layout:
+        a = g.axis
+        if a.layout is not layout and a.layout != layout:
             raise ValueError("rotation axis layout differs from the operand's")
-        return 0, ((g.axis, g.sign),)
+        return 0, ((a.x_mask, a.z_mask, (a.phase_exp + 2 - g.sign) % 4),)
     bit = lambda site: 1 << layout.index_of(site)
     if isinstance(g, Hadamard):
         b = bit(g.site)
-        z = _string(layout, 0, b, 0)
-        return -2, ((z, 1), (_string(layout, b, 0, 0), 1), (z, 1))
+        return -2, ((0, b, 1), (b, 0, 1), (0, b, 1))
     if isinstance(g, Swap):
-        bi, bj = bit(g.i), bit(g.j)
-        pair, same = bi ^ bj, bi == bj  # Y_i Y_j = -X_i Z_i X_j Z_j, or 1
-        return -1, ((_string(layout, pair, 0, 0), 1),
-                    (_string(layout, pair, pair, 0 if same else 2), 1),
-                    (_string(layout, 0, pair, 0), 1))
+        p = bit(g.i) ^ bit(g.j)  # Y_i Y_j = -X_i Z_i X_j Z_j, or 1
+        return -1, ((p, 0, 1), (p, p, 3 if p else 1), (0, p, 1))
     if isinstance(g, ControlledX):
         bc, bt = bit(g.control), bit(g.target)
-        zc, xt = _string(layout, 0, bc, 0), _string(layout, bt, 0, 0)
-        return 1, ((_string(layout, bt, bc, 2 if bc == bt else 0), 1),
-                   (zc, -1), (xt, -1))
+        return 1, ((bt, bc, 3 if bc == bt else 1), (0, bc, 3), (bt, 0, 3))
     if isinstance(g, ControlledZ):
         bi, bj = bit(g.i), bit(g.j)
-        return -1, ((_string(layout, 0, bi ^ bj, 0), -1),
-                    (_string(layout, 0, bi, 0), 1), (_string(layout, 0, bj, 0), 1))
+        return -1, ((0, bi ^ bj, 3), (0, bi, 1), (0, bj, 1))
     raise TypeError(f"unknown gate {g!r}")
 
 
 @dataclass(frozen=True)
 class CliffordCircuit:
     """The ordered product of ``gates``, also held as one global phase
-    ``e^{i phase pi/4}`` times the flat tuple of quarter-rotation ``factors``."""
+    ``e^{i phase pi/4}`` times the flat tuple of quarter-rotation ``factors``,
+    each an ``(x, z, d)`` triple of ``rotation_factors``."""
     layout: HilbertLayout
     gates: tuple[CliffordGate, ...]
     phase: int = field(init=False, repr=False, compare=False)
-    factors: tuple[tuple[PauliString, int], ...] = field(
+    factors: tuple[tuple[int, int, int], ...] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -130,11 +128,8 @@ class CliffordCircuit:
         ``g = X_0 .. X_{n-1}, Z_0 .. Z_{n-1}`` (bit order), compiled on
         first use, a block of rows at a time."""
         n = self.layout.total_sites
-        # U = R_1 R_2 ... R_k, so each row is conjugated by R_k first; an
-        # anticommuting row becomes (i sign) A row
-        steps = [(set_bits(axis.x_mask), set_bits(axis.z_mask),
-                  (axis.phase_exp + (1 if sign > 0 else 3)) % 4)
-                 for axis, sign in reversed(self.factors)]
+        # U = R_1 R_2 ... R_k, so each row is conjugated by R_k first
+        steps = [(set_bits(x), set_bits(z), d) for x, z, d in reversed(self.factors)]
         x_rows, z_rows, phases = [], [], []
         block = max(8, _CHUNK_BYTES // max(n, 1))
         for start in range(0, 2 * n, block):
@@ -143,12 +138,6 @@ class CliffordCircuit:
             z_rows += zs
             phases += ps
         return x_rows, z_rows, phases
-
-    @cached_property
-    def images(self) -> tuple[PauliString, ...]:
-        """The tableau rows as strings, built from ``rows`` when first read."""
-        return tuple(_string(self.layout, x, z, phase)
-                     for x, z, phase in zip(*self.rows))
 
 
 # bytes of bits of one block of tableau rows: a block of rows is compiled
@@ -160,7 +149,7 @@ def _compile_rows(steps, n: int, start: int,
                   width: int) -> tuple[list[int], list[int], list[int]]:
     """Rows ``start .. start + width - 1`` of the tableau, each generator
     folded through ``steps``, ``(x bits, z bits, d)`` for a quarter rotation
-    that multiplies an anticommuting row by ``i^d A``."""
+    that maps an anticommuting row to ``B row``, ``B = i^d X^x Z^z``."""
     # bit-sliced: bit r of xs[j] / zs[j] is the X / Z bit at site j of row
     # start + r, and that row carries the phase i^(p0_r + 2 p1_r)
     xs, zs = [0] * n, [0] * n
@@ -243,14 +232,12 @@ def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
     ``p``, the rightmost (innermost) first."""
     layout = p.layout
     x, z, phase = p.x_mask, p.z_mask, p.phase_exp
-    for axis, sign in reversed(rotation_factors(layout, g)[1]):
-        ax, az = axis.x_mask, axis.z_mask
-        swaps = az & x
-        if ((ax & z) ^ swaps).bit_count() & 1:  # anticommuting: (i sign) A p
-            phase += (axis.phase_exp + 2 * swaps.bit_count()
-                      + (1 if sign > 0 else 3))
-            x ^= ax
-            z ^= az
+    for bx, bz, d in reversed(rotation_factors(layout, g)[1]):
+        swaps = bz & x
+        if ((bx & z) ^ swaps).bit_count() & 1:  # anticommuting: B p
+            phase += d + 2 * swaps.bit_count()
+            x ^= bx
+            z ^= bz
     return _string(layout, x, z, phase & 3)
 
 
@@ -393,29 +380,35 @@ def phi_gauged_table(L: int) -> DualityMap:
 def verify_automorphism(c: CliffordCircuit, m: DualityMap) -> dict:
     """Check every table entry by exact string-with-phase equality.
 
-    Runs purely symbolically, so very long chains are cheap.
+    Runs purely symbolically on the tableau's integers, so very long chains
+    are cheap; a string is built only for a ``got`` that differs.  Raises
+    ``ValueError`` for a table on another layout, before any entry.
     """
+    layout = c.layout
+    layouts = {id(p.layout): p.layout for entry in m.entries for p in entry}
+    if any(lay is not layout and lay != layout for lay in layouts.values()):
+        raise ValueError("circuit/table layout mismatch")
+    rows, n = c.rows, layout.total_sites
     # most table strings are the generator of one entry and the image of
     # another: format each once per call
-    text: dict[tuple[int, int, int, str], str] = {}
+    text: dict[tuple[int, int, int], str] = {}
 
     def fmt(p: PauliString) -> str:
-        key = (p.x_mask, p.z_mask, p.phase_exp, p.layout.header)
+        key = (p.x_mask, p.z_mask, p.phase_exp)
         if key not in text:
             text[key] = str(p)
         return text[key]
 
     records = []
     for gen, image in m.entries:
-        got = conjugate_circuit(c, gen)
-        ok = got == image
+        got = _fold(rows, n, gen.x_mask, gen.z_mask, gen.phase_exp)
+        ok = got == (image.x_mask, image.z_mask, image.phase_exp)
         expected = fmt(image)
         records.append({
             "generator": fmt(gen),
             "expected": expected,
-            "got": expected if ok else str(got),  # equal: format once
+            "got": expected if ok else str(_string(layout, *got)),
             "ok": ok,
         })
     return {"map": m.name, "entries": records,
             "passed": all(r["ok"] for r in records)}
-

@@ -3,8 +3,9 @@
 Every operand is built as a table of rows keyed by X mask: row ``mask``
 holds ``<c ^ mask| O |c>`` for every column ``c``, and the only dim x dim
 matrix is written once at the end.  A Pauli string is one row, a sum one row
-per distinct mask.  A circuit starts as one row and each quarter rotation
-``I + i t A`` doubles the table when ``A``'s X mask takes the mask set off
+per distinct mask, read in sorted term order.  A circuit starts as one row
+and each quarter rotation, read as its ``(x, z, d)`` triple ``I + B`` with
+``B = i^d X^x Z^z``, doubles the table when ``x`` takes the mask set off
 itself, or updates the rows in place, pair by pair, when it maps the set
 onto itself; a run of diagonal rotations is fused into one column scaling.
 A circuit times strings or sums of one nonzero X mask each, such as
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordCircuit
-from .pauli import PauliString, PauliSum
+from .pauli import POWERS_OF_I, PauliString, PauliSum
 
 TAU_EIG_PER_DIM = 1e-9
 JACOBI_SWEEP_CAP = 100
@@ -123,14 +124,17 @@ class SpectrumResult:
 _SIGNS = np.array([1, -1])
 
 
-def _values(p: PauliString, cols: np.ndarray) -> np.ndarray:
-    """``values`` with ``p|c> = values[c] |c ^ x_mask>``."""
+def _values(z: int, d: int, cols: np.ndarray) -> np.ndarray:
+    """``values`` with ``i^d X^x Z^z |c> = values[c] |c ^ x>``, for any ``x``."""
     # Z acts first in the per-site X·Z order: the sign is the parity of c & z
-    return ((1j ** p.phase_exp) * _SIGNS)[np.bitwise_count(cols & p.z_mask) & 1]
+    return (POWERS_OF_I[d] * _SIGNS)[np.bitwise_count(cols & z) & 1]
 
 
-def _terms(obj: PauliString | PauliSum) -> PauliSum:
-    return PauliSum.from_string(obj) if isinstance(obj, PauliString) else obj
+def _terms(obj: PauliString | PauliSum) -> list[tuple[tuple[int, int], complex]]:
+    """The ``((x, z), c)`` terms of a string or sum, in sorted order."""
+    if isinstance(obj, PauliString):
+        obj = PauliSum.from_string(obj)
+    return sorted(obj.terms.items())
 
 
 # bytes of one chunk of table rows, small enough to stay in cache
@@ -257,11 +261,12 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
 
     Every operand is built as a ``_Table`` of rows keyed by X mask, and the
     only dim x dim matrix is written once at the end.  A string is one row
-    and a sum one row per distinct mask.  A circuit starts as one row, its
-    global phase times ``2^(-k/2)`` for its ``k`` quarter rotations, and is
-    multiplied on the right by each rotation ``I + i t A``; a run of
-    diagonal rotations is fused into one column scaling.  Each right factor
-    is grouped by X mask into ``diag + v X^x`` and multiplies the table the
+    and a sum one row per distinct mask, its terms read in sorted order.  A
+    circuit starts as one row, its global phase times ``2^(-k/2)`` for its
+    ``k`` quarter rotations, and is multiplied on the right by each rotation
+    ``I + B``, read from its ``(x, z, d)`` triple; a run of diagonal
+    rotations is fused into one column scaling.  Each right factor is
+    grouped by X mask into ``diag + v X^x`` and multiplies the table the
     same way.  Raises ``ValueError`` for right factors on another layout,
     on a string or sum, or with two or more nonzero X masks.
     """
@@ -271,35 +276,35 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
     if right and not isinstance(obj, CliffordCircuit):
         raise ValueError("right factors multiply a circuit only")
     factors = [_terms(factor) for factor in right]
-    if any(len({p.x_mask for _, p in f} - {0}) > 1 for f in factors):
+    if any(len({x for (x, _), _ in f} - {0}) > 1 for f in factors):
         raise ValueError("a right factor holds more than one nonzero X mask")
     check_limit(layout.total_sites, "dense")
     dim = layout.dim
     cols = np.arange(dim)
     if not isinstance(obj, CliffordCircuit):
         terms = _terms(obj)
-        masks = list(dict.fromkeys(p.x_mask for _, p in terms))
+        masks = list(dict.fromkeys(x for (x, _), _ in terms))
         table = _Table(masks, np.zeros((len(masks), dim), dtype=complex))
-        for c, p in terms:
-            table.rows[table.index[p.x_mask]] += c * _values(p, cols)
+        for (x, z), c in terms:
+            table.rows[table.index[x]] += c * _values(z, 0, cols)
         return DenseOperator(table.matrix())
     table = _Table([0], np.full((1, dim), np.exp(obj.phase * 1j * math.pi / 4)
                                 * 2.0 ** (-len(obj.factors) / 2)))
     diag = None  # product of the pending run of diagonal rotations
-    for axis, sign in obj.factors:  # leftmost factor first in the product
-        v = (1j * sign) * _values(axis, cols)
-        if not axis.x_mask:
+    for x, z, d in obj.factors:  # leftmost factor first in the product
+        v = _values(z, d, cols)
+        if not x:
             diag = 1 + v if diag is None else diag * (1 + v)
             continue
         if diag is not None:  # O D (I + v X^x) = O (D + (v D[c ^ x]) X^x)
-            v *= diag[cols ^ axis.x_mask]
-        table.times(diag, axis.x_mask, v)
+            v *= diag[cols ^ x]
+        table.times(diag, x, v)
         diag = None
     table.times(diag)
     for factor in factors:
         groups: dict[int, np.ndarray] = {}
-        for c, p in factor:
-            groups[p.x_mask] = groups.get(p.x_mask, 0) + c * _values(p, cols)
+        for (x, z), c in factor:
+            groups[x] = groups.get(x, 0) + c * _values(z, 0, cols)
         diag = groups.pop(0, np.zeros(dim))
         x, v = groups.popitem() if groups else (0, None)
         table.times(diag, x, v)

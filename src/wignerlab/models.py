@@ -30,6 +30,10 @@ class Family(enum.Enum):
     FULLY_GAUGED_HG = "h-full-gauged"
 
 
+#: the boundary-sector chain of each sign: H+ periodic, H- antiperiodic
+BOUNDARY_FAMILY = {1: Family.PERIODIC_H_PLUS, -1: Family.ANTIPERIODIC_H_MINUS}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     family: Family
@@ -157,8 +161,7 @@ def projected_commutation_check(L: int, sign: int) -> dict:
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    fam = Family.PERIODIC_H_PLUS if sign > 0 else Family.ANTIPERIODIC_H_MINUS
-    h = build_hamiltonian(ModelSpec(fam, L))
+    h = build_hamiltonian(ModelSpec(BOUNDARY_FAMILY[sign], L))
     proj = symmetry_projector(sign, h.layout)
     residual = (conjugate_sum(build_u2(L), h) - h) * proj
     return {

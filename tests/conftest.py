@@ -99,11 +99,11 @@ def oracle_circuit_matrix(c: CliffordCircuit) -> np.ndarray:
 
 def fold_conjugate(c: CliffordCircuit, p: PauliString) -> PauliString:
     """``U p U†`` folded over the circuit's quarter rotations, the rightmost
-    (innermost) first: ``exp(i s pi/4 A)`` maps ``p`` to ``p`` if ``[A, p] = 0``
-    and to ``(i s) A p`` otherwise."""
-    for axis, sign in reversed(c.factors):
-        if not commutes(axis, p):
-            q = mul(axis, p)
-            p = PauliString(q.layout, q.x_mask, q.z_mask,
-                            q.phase_exp + (1 if sign > 0 else 3))
+    (innermost) first: the factor ``(1 + B)/sqrt(2)`` of the triple
+    ``(x, z, d)``, ``B = i^d X^x Z^z``, maps ``p`` to ``p`` if ``[B, p] = 0``
+    and to ``B p`` otherwise."""
+    for x, z, d in reversed(c.factors):
+        b = PauliString(c.layout, x, z, d)
+        if not commutes(b, p):
+            p = mul(b, p)
     return p

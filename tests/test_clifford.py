@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 
 from conftest import (fold_conjugate, oracle_circuit_matrix,
                       oracle_gate_matrix, oracle_string_matrix)
+from wignerlab import clifford
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
-                                Hadamard, QuarterRotation, Swap, build_u1,
-                                build_u2, build_u_gauged, conjugate_circuit,
-                                conjugate_gate, conjugate_sum, phi1_table,
-                                phi2_table, phi_gauged_table,
-                                verify_automorphism)
+                                DualityMap, Hadamard, QuarterRotation, Swap,
+                                build_u1, build_u2, build_u_gauged,
+                                conjugate_circuit, conjugate_gate,
+                                conjugate_sum, phi1_table, phi2_table,
+                                phi_gauged_table, verify_automorphism)
 from wignerlab.dense import materialize
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
-from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout,
-                             link_layout, matter_layout, mul)
+from wignerlab.pauli import (HilbertLayout, PauliString, PauliSum,
+                             ancilla_layout, link_layout, matter_layout, mul)
 
 LAYOUT3 = matter_layout(3)
 
@@ -136,6 +137,61 @@ def test_wrong_table_fails():
         assert (e["got"] == e["expected"]) == e["ok"]
 
 
+def test_table_on_an_equal_layout_object_passes():
+    # the circuit, the generators and the images each on their own layout
+    # object, all equal
+    c, table = build_u2(6), phi2_table(6)
+    layout = HilbertLayout(6)
+    moved = DualityMap(table.name, tuple(
+        (gen, PauliString(layout, image.x_mask, image.z_mask, image.phase_exp))
+        for gen, image in table.entries))
+    gen, image = moved.entries[0]
+    assert len({id(c.layout), id(gen.layout), id(image.layout)}) == 3
+    report = verify_automorphism(c, moved)
+    assert report["passed"]
+    assert report == verify_automorphism(c, table)
+
+
+@pytest.mark.parametrize("other", [matter_layout(4), ancilla_layout(4)],
+                         ids=["smaller", "same-size"])
+def test_table_on_another_layout_raises_before_any_entry(other, monkeypatch):
+    # only the last image is on another layout; no entry is folded
+    c, table = build_u2(5), phi2_table(5)
+    folded = []
+    fold = clifford._fold
+    monkeypatch.setattr(clifford, "_fold",
+                        lambda *args: folded.append(args) or fold(*args))
+    gen, _ = table.entries[-1]
+    bad = DualityMap(table.name, (*table.entries[:-1],
+                                  (gen, PauliString.identity(other))))
+    with pytest.raises(ValueError):
+        verify_automorphism(c, bad)
+    with pytest.raises(ValueError):
+        verify_automorphism(c, phi_gauged_table(4))
+    assert folded == []
+    assert verify_automorphism(c, table)["passed"] and folded
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_corrupted_image_reports_the_conjugated_string(k):
+    c, table = build_u_gauged(4), phi_gauged_table(4)
+    entries = list(table.entries)
+    gen, image = entries[k]
+    negated = PauliString(image.layout, image.x_mask, image.z_mask,
+                          image.phase_exp + 2)
+    moved = PauliString(image.layout, image.x_mask ^ 1, image.z_mask,
+                        image.phase_exp)
+    for wrong in (negated, moved):
+        entries[k] = (gen, wrong)
+        report = verify_automorphism(c, DualityMap(table.name, tuple(entries)))
+        assert not report["passed"]
+        assert [e["ok"] for e in report["entries"]] == [
+            i != k for i in range(len(entries))]
+        e = report["entries"][k]
+        assert e["got"] == str(conjugate_circuit(c, gen)) == str(image)
+        assert e["expected"] == str(wrong) != e["got"]
+
+
 def test_table_entry_coefficients_are_plus_one():
     for table in (phi1_table, phi2_table, phi_gauged_table):
         for src, dst in table(4).entries:
@@ -204,12 +260,13 @@ def test_compiled_images_are_symplectic(build):
     # and stay Hermitian, so the table is an automorphism on its own terms
     c = build(512)
     n = c.layout.total_sites
-    x = bit_matrix([g.x_mask for g in c.images], n)
-    z = bit_matrix([g.z_mask for g in c.images], n)
+    x_rows, z_rows, _ = c.rows
+    x = bit_matrix(x_rows, n)
+    z = bit_matrix(z_rows, n)
     gram = (x @ z.T + z @ x.T) % 2
     zero, one = np.zeros((n, n)), np.eye(n)
     assert np.array_equal(gram, np.block([[zero, one], [one, zero]]))
-    assert all(g.is_hermitian() for g in c.images)
+    assert all(PauliString(c.layout, *row).is_hermitian() for row in zip(*c.rows))
 
 
 def test_conjugate_sum_matches_termwise_fold():

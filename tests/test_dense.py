@@ -200,7 +200,7 @@ def test_circuit_times_factors_in_and_out_of_its_masks_match_oracle(data, layout
     n = layout.total_sites
     c = CliffordCircuit(layout, tuple(data.draw(
         st.lists(low_rotations(layout, n - 2), max_size=6))))
-    span = _span(axis.x_mask for axis, _ in c.factors)
+    span = _span(x for x, _, _ in c.factors)
     inside = sorted(span)
     outside = [m for m in range(layout.dim) if m not in span]
     pick = {"inside": inside, "outside": outside}[where]

@@ -21,6 +21,7 @@ from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 conjugate_circuit, conjugate_gate,
                                 conjugate_sum, phi1_table, phi2_table,
                                 phi_gauged_table, rotation_factors)
+from wignerlab.dense import materialize
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
                               dual_string_z, dual_variable_map,
                               emergent_boundary_z, gauss_law_operators)
@@ -200,7 +201,10 @@ def gates_on(sites):
 @pytest.mark.parametrize("gate", gates_on([1, 2, 3, "L+1"]), ids=str)
 def test_rotation_factors_equal_per_site_build(gate):
     layout = ancilla_layout(3)
-    assert rotation_factors(layout, gate) == ref_rotation_factors(layout, gate)
+    # R(A, t) = exp(i t pi/4 A) is the triple of B = i t A = i^(2 - t) A
+    s, factors = ref_rotation_factors(layout, gate)
+    assert rotation_factors(layout, gate) == (s, tuple(
+        (A.x_mask, A.z_mask, (A.phase_exp + 2 - t) % 4) for A, t in factors))
 
 
 # -- conjugation ------------------------------------------------------------------
@@ -320,3 +324,28 @@ def test_package_builds_without_the_per_site_path(monkeypatch):
     symmetry_projector(1, ancilla_layout(L), on_ancilla=True)
     assert all(models.eta_conservation(L).values())
     assert models.projected_commutation_check(L, -1)["passed"]
+
+
+def test_circuits_tables_and_dense_build_no_string(monkeypatch):
+    # factors, tableau rows, table checks and dense rows stay on integers:
+    # with every string constructor forbidden, prebuilt gates compile and
+    # verify at L = 128, and sums and circuits materialize at L = 6
+    builds = ((build_u1, phi1_table), (build_u2, phi2_table),
+              (build_u_gauged, phi_gauged_table))
+    large = [(build(128), table(128)) for build, table in builds]
+    small = [build(6) for build, _ in builds]
+    sums = [build_hamiltonian(ModelSpec(family, 6))
+            for family in (Family.SELF_DUAL_CLOSED_H2, Family.MINIMAL_GAUGED_HG)]
+
+    def forbidden(*_, **__):
+        raise AssertionError("string built")
+
+    monkeypatch.setattr(clifford, "_string", forbidden)
+    monkeypatch.setattr(pauli, "_string", forbidden)
+    monkeypatch.setattr(PauliString, "__init__", forbidden)
+    for c, table in large:
+        c = CliffordCircuit(c.layout, c.gates)
+        assert len(c.rows[0]) == 2 * c.layout.total_sites
+        assert clifford.verify_automorphism(c, table)["passed"]
+    for obj in (*sums, *(CliffordCircuit(c.layout, c.gates) for c in small)):
+        assert materialize(obj).dim == obj.layout.dim

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import oracle_string_matrix
 from wignerlab.clifford import build_u_gauged, conjugate_circuit
 from wignerlab.pauli import (LayoutMismatchError, PauliString, PauliSum,
-                             ancilla_layout, commutes, eta_string,
+                             _string, ancilla_layout, commutes, eta_string,
                              format_string, format_sum, link_layout,
                              matter_layout, mul, sum_commutator,
                              symmetry_projector)
@@ -135,7 +135,8 @@ def test_products_equal_validated_strings(p, q):
     # compare and hash as the checked constructor's strings do
     lay = p.layout
     c = build_u_gauged(3)
-    made = [mul(p, q), conjugate_circuit(c, p), *c.images,
+    made = [mul(p, q), conjugate_circuit(c, p),
+            *(_string(lay, *row) for row in zip(*c.rows)),
             *(PauliString.single(lay, k, s) for k in "XYZ" for s in (1, "L+1"))]
     for r in made:
         v = PauliString(r.layout, r.x_mask, r.z_mask, r.phase_exp)

@@ -156,8 +156,10 @@ def test_polar_checks_stack_random_matrices_by_size_class(monkeypatch):
     from wignerlab import cli, dense, polar
     batches = []
     batch = polar.polar_decompose_all
-    monkeypatch.setattr(polar, "polar_decompose_all",
-                        lambda ops: batches.append((len(ops), [])) or batch(ops))
+    counted = lambda ops: batches.append((len(ops), [])) or batch(ops)
+    # cli imports the batch by name; polar's own calls open batches too
+    monkeypatch.setattr(cli, "polar_decompose_all", counted)
+    monkeypatch.setattr(polar, "polar_decompose_all", counted)
     jacobi = dense._jacobi
     monkeypatch.setattr(dense, "_jacobi", lambda stack, cap: batches[-1][1]
                         .append(stack.shape) or jacobi(stack, cap))
