@@ -72,8 +72,9 @@ def rotation_factors(layout: HilbertLayout, g: CliffordGate):
     ``B_k = i^d_k X^x_k Z^z_k``.
 
     This is the one definition of every gate: the tableau folds the factors
-    and drops the global phase, the dense backend multiplies them and keeps
-    it.  ``R(A, t) = exp(i t pi/4 A)`` is ``B = i t A``, so ``d`` is ``A``'s
+    and drops the global phase; the dense backend multiplies them into
+    column 0, keeping the phase, and folds them into the images of X_j.
+    ``R(A, t) = exp(i t pi/4 A)`` is ``B = i t A``, so ``d`` is ``A``'s
     phase plus ``2 - t``.  Conjugation by ``R`` maps ``p`` to ``p`` if ``B``
     and ``p`` commute and to ``B p`` if they anticommute.  A two-site gate
     on one site twice gets the product of its one-site factors, as ``mul``
@@ -227,18 +228,27 @@ def conjugate_circuit(c: CliffordCircuit, p: PauliString) -> PauliString:
     return _string(layout, x, z, phase)
 
 
-def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
-    """Exact ``g p g†`` for a single gate: its quarter rotations folded on
-    ``p``, the rightmost (innermost) first."""
-    layout = p.layout
-    x, z, phase = p.x_mask, p.z_mask, p.phase_exp
-    for bx, bz, d in reversed(rotation_factors(layout, g)[1]):
+def conjugate_factors(factors, x: int, z: int,
+                      phase: int) -> tuple[int, int, int]:
+    """``(x, z, phase)`` of ``R p R†`` for ``p = i^phase X^x Z^z`` and ``R``
+    the product of the quarter-rotation triples ``factors``, folded on ``p``
+    the rightmost (innermost) first: each maps an anticommuting ``p`` to
+    ``B p`` and leaves a commuting one."""
+    for bx, bz, d in reversed(factors):
         swaps = bz & x
         if ((bx & z) ^ swaps).bit_count() & 1:  # anticommuting: B p
             phase += d + 2 * swaps.bit_count()
             x ^= bx
             z ^= bz
-    return _string(layout, x, z, phase & 3)
+    return x, z, phase & 3
+
+
+def conjugate_gate(g: CliffordGate, p: PauliString) -> PauliString:
+    """Exact ``g p g†`` for a single gate: its quarter rotations folded on
+    ``p`` by ``conjugate_factors``."""
+    layout = p.layout
+    return _string(layout, *conjugate_factors(
+        rotation_factors(layout, g)[1], p.x_mask, p.z_mask, p.phase_exp))
 
 
 def conjugate_sum(c: CliffordCircuit, h: PauliSum) -> PauliSum:

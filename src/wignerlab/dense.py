@@ -1,15 +1,15 @@
 """Dense complex-matrix materialization, eigensolving, and state experiments.
 
-Every operand is built as a table of rows keyed by X mask: row ``mask``
-holds ``<c ^ mask| O |c>`` for every column ``c``, and the only dim x dim
-matrix is written once at the end.  A Pauli string is one row, a sum one row
-per distinct mask, read in sorted term order.  A circuit starts as one row
-and each quarter rotation, read as its ``(x, z, d)`` triple ``I + B`` with
-``B = i^d X^x Z^z``, doubles the table when ``x`` takes the mask set off
-itself, or updates the rows in place, pair by pair, when it maps the set
-onto itself; a run of diagonal rotations is fused into one column scaling.
-A circuit times strings or sums of one nonzero X mask each, such as
-``U2 (1 + eta) / 2``, multiplies the table by those factors the same way.
+A Pauli string or sum is built as a table of rows keyed by X mask: row
+``mask`` holds ``<c ^ mask| O |c>`` for every column ``c``, one row per
+distinct mask in sorted term order, and the only dim x dim matrix is written
+once at the end.  A Clifford circuit ``U`` is built from its stabilizer
+images (Aaronson & Gottesman, quant-ph/0406196): ``U|c> = (U X^c U†) U|0>``,
+so column 0 is one vector pass over its quarter rotations, and columns
+``[2^j, 2^(j+1))`` are columns ``[0, 2^j)`` under ``U X_j U†``, a row gather
+and an exact ``±1`` or ``±i`` per row.  A circuit times strings or sums of
+one nonzero X mask each, such as ``U2 (1 + eta) / 2``, is that matrix
+updated in place by each factor's ``diag + v X^x``.
 The Hermitian eigensolver splits matrices into the connected components of
 their exact nonzero patterns, so a matrix in a basis that diagonalizes its
 symmetries is solved sector by sector, and solves each size class of
@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordCircuit
+from .clifford import CliffordCircuit, conjugate_factors
 from .pauli import POWERS_OF_I, PauliString, PauliSum
 
 TAU_EIG_PER_DIM = 1e-9
@@ -137,13 +138,13 @@ def _terms(obj: PauliString | PauliSum) -> list[tuple[tuple[int, int], complex]]
     return sorted(obj.terms.items())
 
 
-# bytes of one chunk of table rows, small enough to stay in cache
+# bytes of one chunk of rows, small enough to stay in cache
 _CHUNK_BYTES = 1 << 18
 
 
-def _chunk_rows(dim: int) -> int:
-    """Table rows of ``dim`` entries in one chunk, at least one."""
-    return max(1, _CHUNK_BYTES // (16 * dim))
+def _chunk_rows(width: int) -> int:
+    """Rows of ``width`` entries in one chunk, at least one."""
+    return max(1, _CHUNK_BYTES // (16 * width))
 
 
 def _flat(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -154,103 +155,60 @@ def _flat(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return (masks[:, None] * dim) ^ (cols * (dim + 1))
 
 
-class _Table:
-    """An operator ``O`` on ``dim`` basis states as rows keyed by X mask:
-    ``rows[i, c] = <c ^ masks[i]| O |c>``, every other entry zero.
+def _table_matrix(terms: list[tuple[tuple[int, int], complex]],
+                  dim: int) -> np.ndarray:
+    """The matrix of a string or sum from its sorted ``((x, z), c)`` terms.
 
-    Multiplying on the right by ``v X^x`` moves row ``i`` to mask
-    ``masks[i] ^ x`` and reads its column ``c`` at ``c ^ x``: one ``np.take``
-    along the row, as fast for every ``x``.  Only a circuit is multiplied,
-    and its masks stay a subspace listed in the order of its coordinates,
-    ``masks[i ^ j] == masks[i] ^ masks[j]`` (the X half of its stabilizer
-    tableau): it starts as the one row of mask 0, and each factor either
-    doubles the subspace or maps it onto itself.
+    The terms are added into a table of rows keyed by X mask,
+    ``rows[i, c] = <c ^ masks[i]| O |c>``, one row per distinct mask in
+    term order, and each row is scattered onto its diagonal of the one
+    dim x dim matrix, a chunk of rows at a time.
     """
+    cols = np.arange(dim)
+    index = {x: i for i, x in
+             enumerate(dict.fromkeys(x for (x, _), _ in terms))}
+    rows = np.zeros((len(index), dim), dtype=complex)
+    for (x, z), c in terms:
+        rows[index[x]] += c * _values(z, 0, cols)
+    masks = np.fromiter(index, dtype=np.int64, count=len(index))
+    m = np.zeros((dim, dim), dtype=complex)
+    flat = m.reshape(-1)
+    per = _chunk_rows(dim)
+    for a in range(0, len(masks), per):
+        flat[_flat(masks[a:a + per], cols)] = rows[a:a + per]
+    return m
 
-    def __init__(self, masks: list[int], rows: np.ndarray) -> None:
-        self.masks, self.rows = masks, rows
-        self.index = {m: i for i, m in enumerate(masks)}
-        self.cols = np.arange(rows.shape[1])
 
-    def times(self, diag: np.ndarray | None, x: int = 0,
-              v: np.ndarray | None = None) -> None:
-        """``O <- O (diag + v X^x)``, where ``diag`` scales columns (None is
-        the identity), ``X^x`` maps column ``c`` to ``c ^ x`` and ``x == 0``
-        leaves only ``diag``: row ``t`` of the product is
-        ``diag rows[t] + v rows[t ^ x]``, the latter read at column ``c ^ x``."""
-        if x:
-            j = self.index.get(x)
-            if j is None:
-                self._double(diag, x, v)
-            else:
-                self._pairs(diag, j, x, v)
-        elif diag is not None:
-            np.multiply(self.rows, diag, out=self.rows)
+def _circuit_matrix(c: CliffordCircuit) -> np.ndarray:
+    """The matrix of a circuit ``U``, column 0 first and then by doubling.
 
-    def _shifted(self, rows: np.ndarray, x: int, v: np.ndarray) -> np.ndarray:
-        """``v[c] rows[..., c ^ x]``, a new array."""
-        out = rows.take(self.cols ^ x, axis=-1, mode="clip")
-        out *= v
-        return out
-
-    def _double(self, diag: np.ndarray | None, x: int, v: np.ndarray) -> None:
-        """``x`` takes the masks off themselves: one multiply into the new
-        half, then the old half is scaled."""
-        k, dim = self.rows.shape
-        rows = np.empty((2 * k, dim), dtype=complex)
-        self.rows.take(self.cols ^ x, axis=1, out=rows[k:], mode="clip")
-        rows[k:] *= v
-        if diag is None:
-            rows[:k] = self.rows
-        else:
-            np.multiply(self.rows, diag, out=rows[:k])
-        new = [m ^ x for m in self.masks]
-        self.index.update(zip(new, range(k, 2 * k)))
-        self.masks, self.rows = self.masks + new, rows
-
-    def _pairs(self, diag: np.ndarray | None, j: int, x: int, v: np.ndarray) -> None:
-        """``x = masks[j]`` maps the masks onto themselves: row ``i`` pairs
-        with row ``i ^ j``, and the rows are updated in place, one chunk of
-        whole pairs at a time.
-
-        With ``top`` the highest bit of ``j``, the rows fall into groups of
-        ``2 top``, and row ``r`` of a group's low half pairs with row
-        ``r ^ j ^ top`` of its high half.  A chunk is whole groups, or a run
-        of ``step`` low rows of one group; the high rows are a slice unless
-        ``j ^ top`` has bits below ``step``, and then a gather.
-        """
-        dim = self.rows.shape[1]
-        top = 1 << (j.bit_length() - 1)
-        low = j ^ top
-        groups = self.rows.reshape(-1, 2, top, dim)
-        # rows in half a chunk, a power of two so that aligned runs XOR to runs
-        half = 1 << (max(1, _chunk_rows(dim) // 2).bit_length() - 1)
-        step, per = min(top, half), max(1, half // top)  # low rows, groups
-        perm, gather = np.arange(top) ^ low, bool(low & (step - 1))
-        for g in range(0, len(groups), per):
-            for a in range(0, top, step):
-                at = perm[a:a + step] if gather else slice(perm[a], perm[a] + step)
-                lo, hi = groups[g:g + per, 0, a:a + step], groups[g:g + per, 1, at]
-                from_hi, from_lo = self._shifted(hi, x, v), self._shifted(lo, x, v)
-                if diag is not None:
-                    lo *= diag
-                    hi *= diag
-                lo += from_hi
-                hi += from_lo
-                if gather:  # the gathered rows are a copy
-                    groups[g:g + per, 1, at] = hi
-
-    def matrix(self) -> np.ndarray:
-        """The one dim x dim matrix: each row scattered onto its diagonal,
-        a chunk of rows at a time."""
-        k, dim = self.rows.shape
-        masks = np.asarray(self.masks)
-        m = np.zeros((dim, dim), dtype=complex)
-        flat = m.reshape(-1)
-        per = _chunk_rows(dim)
-        for a in range(0, k, per):
-            flat[_flat(masks[a:a + per], self.cols)] = self.rows[a:a + per]
-        return m
+    Column 0 is ``U|0>``: the global phase times ``2^(-k/2)`` for the ``k``
+    quarter rotations, multiplied by each rotation ``I + B``, the rightmost
+    first, one vector update each.  Then ``U|c + 2^j> = R_j U|c>`` for
+    ``c < 2^j``, with ``R_j = U X_j U† = i^p X^a Z^b`` folded from the
+    rotations by ``conjugate_factors``: columns ``[2^j, 2^(j+1))`` are
+    columns ``[0, 2^j)`` with row ``r`` read from row ``r ^ a`` and
+    multiplied by the exact ``±1`` or ``±i`` of ``R_j`` at that row, a chunk
+    of rows at a time.
+    """
+    dim = c.layout.dim
+    cols = np.arange(dim)
+    psi = np.zeros(dim, dtype=complex)
+    psi[0] = np.exp(c.phase * 1j * math.pi / 4) * 2.0 ** (-len(c.factors) / 2)
+    for x, z, d in reversed(c.factors):  # B|s> = values[s] |s ^ x>
+        psi += (_values(z, d, cols) * psi)[cols ^ x]
+    m = np.empty((dim, dim), dtype=complex)
+    m[:, 0] = psi
+    for j in range(c.layout.total_sites):
+        w = 1 << j
+        a, b, p = conjugate_factors(c.factors, w, 0, 0)
+        src = cols ^ a
+        sign = _values(b, p, src)
+        per = _chunk_rows(w)
+        for r in range(0, dim, per):
+            np.multiply(m[src[r:r + per], :w], sign[r:r + per, None],
+                        out=m[r:r + per, w:2 * w])
+    return m
 
 
 def materialize(obj: PauliString | PauliSum | CliffordCircuit,
@@ -259,16 +217,13 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
     multiplied on the right by strings or sums of one nonzero X mask each,
     left to right, such as ``U (1 + eta) / 2``.
 
-    Every operand is built as a ``_Table`` of rows keyed by X mask, and the
-    only dim x dim matrix is written once at the end.  A string is one row
-    and a sum one row per distinct mask, its terms read in sorted order.  A
-    circuit starts as one row, its global phase times ``2^(-k/2)`` for its
-    ``k`` quarter rotations, and is multiplied on the right by each rotation
-    ``I + B``, read from its ``(x, z, d)`` triple; a run of diagonal
-    rotations is fused into one column scaling.  Each right factor is
-    grouped by X mask into ``diag + v X^x`` and multiplies the table the
-    same way.  Raises ``ValueError`` for right factors on another layout,
-    on a string or sum, or with two or more nonzero X masks.
+    A string or sum is scattered from its table of rows keyed by X mask
+    (``_table_matrix``); a circuit is built column 0 first and then by
+    doubling through the images of its X_j (``_circuit_matrix``).  Each
+    right factor is grouped by X mask into ``diag + v X^x`` and multiplies
+    the circuit's matrix in place, a chunk of rows at a time.  Raises
+    ``ValueError`` for right factors on another layout, on a string or sum,
+    or with two or more nonzero X masks.
     """
     layout = obj.layout
     if any(factor.layout != layout for factor in right):
@@ -280,35 +235,30 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
         raise ValueError("a right factor holds more than one nonzero X mask")
     check_limit(layout.total_sites, "dense")
     dim = layout.dim
-    cols = np.arange(dim)
     if not isinstance(obj, CliffordCircuit):
-        terms = _terms(obj)
-        masks = list(dict.fromkeys(x for (x, _), _ in terms))
-        table = _Table(masks, np.zeros((len(masks), dim), dtype=complex))
-        for (x, z), c in terms:
-            table.rows[table.index[x]] += c * _values(z, 0, cols)
-        return DenseOperator(table.matrix())
-    table = _Table([0], np.full((1, dim), np.exp(obj.phase * 1j * math.pi / 4)
-                                * 2.0 ** (-len(obj.factors) / 2)))
-    diag = None  # product of the pending run of diagonal rotations
-    for x, z, d in obj.factors:  # leftmost factor first in the product
-        v = _values(z, d, cols)
-        if not x:
-            diag = 1 + v if diag is None else diag * (1 + v)
-            continue
-        if diag is not None:  # O D (I + v X^x) = O (D + (v D[c ^ x]) X^x)
-            v *= diag[cols ^ x]
-        table.times(diag, x, v)
-        diag = None
-    table.times(diag)
+        return DenseOperator(_table_matrix(_terms(obj), dim))
+    m = _circuit_matrix(obj)
+    cols = np.arange(dim)
+    per = _chunk_rows(dim)
     for factor in factors:
         groups: dict[int, np.ndarray] = {}
         for (x, z), c in factor:
             groups[x] = groups.get(x, 0) + c * _values(z, 0, cols)
         diag = groups.pop(0, np.zeros(dim))
-        x, v = groups.popitem() if groups else (0, None)
-        table.times(diag, x, v)
-    return DenseOperator(table.matrix())
+        if not groups:
+            m *= diag
+            continue
+        # m <- m (diag + v X^x): column c becomes
+        # diag[c] m[:, c] + v[c] m[:, c ^ x]
+        x, v = groups.popitem()
+        src = cols ^ x
+        for r in range(0, dim, per):
+            rows = m[r:r + per]
+            shifted = rows.take(src, axis=1, mode="clip")
+            shifted *= v
+            rows *= diag
+            rows += shifted
+    return DenseOperator(m)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +544,10 @@ def read_dense_binary(path: str) -> np.ndarray:
     return m
 
 
+# one CSV cell: real and imaginary part, each free of separators
+_CELL = "[^,;]*;[^,;]*"
+
+
 def write_dense_csv(path: str, m: np.ndarray) -> None:
     """One text line per row of ``m`` (a vector is one row), one ``re;im``
     cell per entry, each float written as its ``repr``."""
@@ -608,14 +562,15 @@ def write_dense_csv(path: str, m: np.ndarray) -> None:
 
 def read_dense_csv(path: str) -> np.ndarray:
     """Read a ``write_dense_csv`` dump, blank lines skipped, every float of
-    every cell converted in one call; rows must hold equally many cells."""
+    every cell converted in one call.  Each line must match one regular
+    expression: as many ``re;im`` cells as the first line holds."""
     with open(path) as fh:
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    if not rows:
+        lines = [line for line in map(str.strip, fh) if line]
+    if not lines:
         return np.array([], dtype=complex)
-    width = len(rows[0])
-    if any(len(row) != width or any(cell.count(";") != 1 for cell in row)
-           for row in rows):
+    width = lines[0].count(",") + 1
+    row = re.compile(f"{_CELL}(?:,{_CELL}){{{width - 1}}}")
+    if not all(map(row.fullmatch, lines)):
         raise ValueError("every row must hold the same number of re;im cells")
-    text = ";".join(";".join(row) for row in rows).split(";")
-    return np.array(text, dtype=np.float64).view(complex).reshape(len(rows), width)
+    text = ";".join(lines).replace(",", ";").split(";")
+    return np.array(text, dtype=np.float64).view(complex).reshape(len(lines), width)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .clifford import build_u2, build_u_gauged
 from .dense import (DenseOperator, StateVector, check_limit,
-                    hermitian_eigensolve, materialize)
+                    hermitian_eigensolve_all, materialize)
 from .models import (Family, ModelSpec, eigensolve_hamiltonian,
                      gauss_law_operators)
 from .pauli import PauliSum, ancilla_layout, matter_layout, symmetry_projector
@@ -119,13 +119,13 @@ def spectral_equivalence_check(L: int) -> dict:
     The observed factor is reported, not assumed; dimension counting predicts
     2^(L-1).  Both chains are solved in the basis of
     ``models.eigensolve_hamiltonian``, where H_full falls apart into the 2^L
-    Gauss sectors.
+    Gauss sectors, and in one ``hermitian_eigensolve_all`` call, so blocks
+    of one size from both chains share a stack.
     """
     check_limit(2 * L, "eigensolve")
-    ev_full, ev_min = (
-        hermitian_eigensolve(materialize(eigensolve_hamiltonian(
-            ModelSpec(fam, L)))).eigenvalues
-        for fam in (Family.FULLY_GAUGED_HG, Family.MINIMAL_GAUGED_HG))
+    ev_full, ev_min = (res.eigenvalues for res in hermitian_eigensolve_all(
+        [materialize(eigensolve_hamiltonian(ModelSpec(fam, L)))
+         for fam in (Family.FULLY_GAUGED_HG, Family.MINIMAL_GAUGED_HG)]))
     res = spectral_multiset_factor(ev_full, ev_min)
     res.update({"model_a": "h-full-gauged", "model_b": "h-min-gauged", "L": L,
                 "predicted_factor": 1 << (L - 1)})

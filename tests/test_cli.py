@@ -252,7 +252,7 @@ def _broken_solver():
     def no_convergence(*args, **kwargs):
         raise ConvergenceError("no convergence after 0 sweeps")
     with mock.patch("wignerlab.cli.hermitian_eigensolve", no_convergence), \
-            mock.patch("wignerlab.gauge.hermitian_eigensolve", no_convergence):
+            mock.patch("wignerlab.gauge.hermitian_eigensolve_all", no_convergence):
         yield
 
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag, expm
 from scipy.sparse.csgraph import connected_components
 
-from conftest import oracle_circuit_matrix, oracle_string_matrix
+from conftest import (fold_conjugate, oracle_circuit_matrix, oracle_gate_matrix,
+                      oracle_string_matrix)
 from wignerlab import dense
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap, build_u1,
@@ -27,8 +28,9 @@ from wignerlab.dense import hermitian_eigensolve_all
 from wignerlab.gauge import build_d_hat, build_d_noninvertible
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
                               eigensolve_hamiltonian)
-from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout, eta_string,
-                             link_layout, matter_layout, symmetry_projector)
+from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout, commutes,
+                             eta_string, link_layout, matter_layout,
+                             symmetry_projector)
 
 LAYOUT3 = matter_layout(3)
 
@@ -195,8 +197,8 @@ def factor_sums(layout, masks):
        where=st.sampled_from(["inside", "outside"]))
 def test_circuit_times_factors_in_and_out_of_its_masks_match_oracle(data, layout, where):
     # the circuit's X masks span a strict subspace; each right factor's one
-    # mask lies inside it (rows updated in pairs) or outside it (the table
-    # doubles)
+    # mask lies inside it (its column update adds onto nonzero entries) or
+    # outside it (onto zeros)
     n = layout.total_sites
     c = CliffordCircuit(layout, tuple(data.draw(
         st.lists(low_rotations(layout, n - 2), max_size=6))))
@@ -214,8 +216,8 @@ def test_circuit_times_factors_in_and_out_of_its_masks_match_oracle(data, layout
 
 
 def _chunked_operators():
-    """Operators that take every path of the table: doubling, pairs plain or
-    permuted, within a chunk or across chunks, and the scatter."""
+    """Operators that take every chunked path: column doubling, the column
+    update of a right factor, and the scatter of a sum."""
     return [materialize(build_u1(4)), materialize(build_u_gauged(3)),
             build_d_noninvertible(4, 1), build_d_hat(3, -1),
             materialize(build_hamiltonian(ModelSpec(Family.OPEN_H1, 4))),
@@ -225,9 +227,9 @@ def _chunked_operators():
 
 @pytest.mark.parametrize("chunk", [16, 64, 512, 1024])
 def test_chunk_size_does_not_change_the_bytes(monkeypatch, chunk):
-    # small chunks split tables of 16 rows into chunks of 1 to 4 rows, the
-    # way chunks split large tables; at 1024 bytes a chunk holds 4 rows,
-    # less than a pair group of 16, so pairs are read permuted across chunks
+    # small chunks split matrices of 16 rows into chunks of 1 to 4 rows, and
+    # the narrow column blocks of the first doublings into a few chunks, the
+    # way chunks split large matrices
     want = [op.matrix.tobytes() for op in _chunked_operators()]
     monkeypatch.setattr(dense, "_CHUNK_BYTES", chunk)
     assert [op.matrix.tobytes() for op in _chunked_operators()] == want
@@ -259,14 +261,90 @@ def test_d_operators_equal_circuit_times_projector(L, sign):
     lambda: materialize(build_u2(10))],
     ids=["u1-9", "d+9", "d-9", "d_hat+8", "d_hat-8", "u2-10"])
 def test_materialize_peak_is_result_and_one_scratch(make):
-    # the table and the result, plus one chunk of rows or indices
+    # the result, plus one chunk of rows and vectors of dim entries
     tracemalloc.start()
     try:
         op = make()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * op.matrix.nbytes
+    assert peak <= 1.25 * op.matrix.nbytes
+
+
+def _column_0(c: CliffordCircuit, psi: np.ndarray) -> np.ndarray:
+    """``U psi`` with the oracle gate matrices applied one by one, the last
+    gate first."""
+    for g in reversed(c.gates):
+        psi = oracle_gate_matrix(c.layout, g) @ psi
+    return psi
+
+
+def _check_intertwines(c: CliffordCircuit, ops: dict, sym: PauliString | None):
+    """``ops[s] = U (1 + s sym)/2``, or ``{1: U}`` with ``sym`` None: for
+    every ``X_j`` and ``Z_j`` ``p``, ``ops[s] p = q ops[s chi]`` on seeded
+    random vectors, with ``q = U p U†`` folded by the conftest oracle and
+    materialized as a string, and ``chi = -1`` where ``p`` anticommutes with
+    ``sym``; and column 0 from the oracle gates applied one by one."""
+    layout = c.layout
+    rng = np.random.default_rng(layout.total_sites)
+    v = rng.normal(size=(layout.dim, 2)) + 1j * rng.normal(size=(layout.dim, 2))
+    images = {s: m @ v for s, m in ops.items()}
+    n = layout.total_sites
+    for p in ([PauliString(layout, 1 << j) for j in range(n)]
+              + [PauliString(layout, 0, 1 << j) for j in range(n)]):
+        chi = 1 if sym is None or commutes(p, sym) else -1
+        pv = materialize(p).matrix @ v
+        q = materialize(fold_conjugate(c, p)).matrix
+        for s, m in ops.items():
+            assert np.max(np.abs(m @ pv - q @ images[s * chi])) < 1e-10, (p, s)
+    e0 = np.zeros((layout.dim, len(ops)), dtype=complex)
+    e0[0] = 1
+    if sym is not None:
+        e0 = (e0 + oracle_string_matrix(sym) @ e0 * list(ops)) / 2
+    want = _column_0(c, e0)
+    for k, m in enumerate(ops.values()):
+        assert np.max(np.abs(m[:, 0] - want[:, k])) < 1e-12
+
+
+def _random_gates(L: int) -> CliffordCircuit:
+    """Seeded gates of every kind on ``L`` matter sites.  Unlike the duality
+    circuits', the images of its ``X_j`` carry phases and ``Y`` factors."""
+    layout, rng = matter_layout(L), np.random.default_rng(L)
+    gates = []
+    for kind in rng.integers(5, size=4 * L):
+        i, j = (int(b) + 1 for b in rng.choice(L, 2, replace=False))
+        if kind == 4:
+            x, z = (int(m) for m in rng.integers(layout.dim, size=2))
+            axis = PauliString(layout, x, z, (x & z).bit_count() % 2)
+            gates.append(QuarterRotation(axis, int(rng.choice([1, -1]))))
+        else:
+            gates.append([Hadamard(i), ControlledX(i, j), ControlledZ(i, j),
+                          Swap(i, j)][kind])
+    return CliffordCircuit(layout, tuple(gates))
+
+
+@pytest.mark.parametrize("build,L", [
+    (build_u1, 9), (build_u2, 9), (build_u_gauged, 9), (_random_gates, 9),
+    (build_u1, 10), (build_u2, 10), (build_u_gauged, 10)],
+    ids=["u1-9", "u2-9", "u-gauged-9", "random-9", "u1-10", "u2-10",
+         "u-gauged-10"])
+def test_large_circuits_intertwine_every_generator(build, L):
+    # past the sizes of the kron oracle: U p = (U p U†) U for every X_j, Z_j
+    c = build(L)
+    _check_intertwines(c, {1: materialize(c).matrix}, None)
+
+
+@pytest.mark.parametrize("L", [8, 9])
+def test_large_d_operators_intertwine_every_generator(L):
+    # D± = U2 (1 ± eta)/2 and D̂± = U_gauged (1 ± Z_{L+1})/2: a generator
+    # that anticommutes with the symmetry swaps the sign
+    _check_intertwines(build_u2(L), {s: build_d_noninvertible(L, s).matrix
+                                     for s in (1, -1)},
+                       eta_string(matter_layout(L)))
+    layout = ancilla_layout(L)
+    _check_intertwines(build_u_gauged(L), {s: build_d_hat(L, s).matrix
+                                           for s in (1, -1)},
+                       PauliString.single(layout, "Z", "L+1"))
 
 
 def test_right_factor_on_another_layout_rejected():
@@ -771,8 +849,10 @@ def test_csv_dump_vector_and_empty_shapes(tmp_path):
 
 
 @pytest.mark.parametrize("text", ["1.0;2.0,3.0;4.0\n5.0;6.0\n", "1.0;2.0;3.0\n",
-                                  "1.0,2.0\n", "1.0;x\n"],
-                         ids=["ragged", "three-parts", "no-imaginary", "not-a-float"])
+                                  "1.0,2.0\n", "1.0;x\n",
+                                  "1.0;2.0,3.0;4.0\n1;2;3,4\n"],
+                         ids=["ragged", "three-parts", "no-imaginary", "not-a-float",
+                              "separators-right-per-line-wrong-per-cell"])
 def test_csv_read_rejects_malformed_cells(tmp_path, text):
     path = tmp_path / "m.csv"
     path.write_text(text)

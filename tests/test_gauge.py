@@ -221,16 +221,34 @@ def test_spectral_equivalence_of_gauged_chains(L):
 @pytest.mark.parametrize("L", [2, 3])
 def test_rotated_full_gauged_spectrum_matches_unrotated(L, monkeypatch):
     solved = []
-    solve = gauge.hermitian_eigensolve
-    monkeypatch.setattr(gauge, "hermitian_eigensolve",
-                        lambda op: solved.append(op) or solve(op))
+    solve_all = gauge.hermitian_eigensolve_all
+    monkeypatch.setattr(gauge, "hermitian_eigensolve_all",
+                        lambda ops: solved.extend(ops) or solve_all(ops))
     gauge.spectral_equivalence_check(L)
     rotated = solved[0].matrix
     h = materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, L)))
-    assert np.max(np.abs(solve(rotated).eigenvalues
+    assert np.max(np.abs(hermitian_eigensolve(rotated).eigenvalues
                          - np.linalg.eigvalsh(h.matrix))) < 1e-12
     # one block per Gauss sector
     assert connected_components(rotated != 0, directed=False)[0] == 1 << L
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5])
+def test_one_eigensolve_for_both_chains_equals_two(L, monkeypatch):
+    # both chains in one call share stacks of equal-size blocks, and each
+    # block is solved as it would be alone
+    calls = []
+    solve_all = gauge.hermitian_eigensolve_all
+
+    def spy(ops):
+        calls.append((ops, solve_all(ops)))
+        return calls[-1][1]
+    monkeypatch.setattr(gauge, "hermitian_eigensolve_all", spy)
+    assert spectral_equivalence_check(L)["equivalent"]
+    [(ops, results)] = calls
+    assert len(ops) == 2
+    for op, res in zip(ops, results):
+        assert np.array_equal(res.eigenvalues, hermitian_eigensolve(op).eigenvalues)
 
 
 def test_spectral_equivalence_rejects_large_L():
