@@ -23,8 +23,8 @@ from . import __version__
 from .clifford import (build_u1, build_u2, build_u_gauged, conjugate_sum,
                        phi1_table, phi2_table, phi_gauged_table,
                        verify_automorphism)
-from .dense import (TAU_EIG_PER_DIM, ConvergenceError, DenseOperator,
-                    DimensionCapError, StateVector, check_limit,
+from .dense import (DENSE_SITE_LIMIT, TAU_EIG_PER_DIM, ConvergenceError,
+                    DenseOperator, DimensionCapError, StateVector, check_limit,
                     hermitian_eigensolve, materialize, over_limit, random_state,
                     transition_experiment, write_dense_binary, write_dense_csv)
 from .gauge import (SectorEmbedding, ancilla_sector_embedding, build_d_hat,
@@ -100,50 +100,41 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
         out.append(_bool_check(
             f"symbolic (U2 H U2_dag) P = H P for sign {sign:+d}",
             projected_commutation_check(L, sign)["passed"]))
-    records = []  # (name, measure, threshold, above)
-    images: dict[str, PauliSum] = {}  # U H U† by Hamiltonian, once per battery
-
-    def conserved(name, key, h, u, p=None):
-        """Queue ``‖[H, U P]‖_F`` against ``1e-10 max(‖H‖_F ‖U P‖_F, 1)``,
-        with ``U H U†`` stored under ``key``."""
-        identity = PauliSum.identity(h.layout)
-
-        def measure():
-            if key not in images:
-                images[key] = conjugate_sum(u, h)
-            # a circuit alone: P = 1 is its own image
-            q = identity if p is None else conjugate_sum(u, p)
-            return _commutator_norm(h, images[key], q)
-
-        norm_p = (identity if p is None else p).frobenius_norm()
-        tol = 1e-10 * max(h.frobenius_norm() * norm_p, 1.0) * tol_scale
-        records.append((name, measure, tol, False))
-
     u2, ug = build_u2(L), build_u_gauged(L)
     hg = build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, L))
-    conserved("[H1, U1]", "H1", build_hamiltonian(ModelSpec(Family.OPEN_H1, L)),
-              build_u1(L))
-    conserved("[H2, U2]", "H2",
-              build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2, L)), u2)
-    conserved("[H_G, U_gauged]", "H_G", hg, ug)
+    # (name, H, U, P or None for P = 1, None for the conservation threshold
+    # or the bound ‖[H, U P]‖_F must exceed)
+    rows = [("[H1, U1]", build_hamiltonian(ModelSpec(Family.OPEN_H1, L)),
+             build_u1(L), None, None),
+            ("[H2, U2]", build_hamiltonian(
+                ModelSpec(Family.SELF_DUAL_CLOSED_H2, L)), u2, None, None),
+            ("[H_G, U_gauged]", hg, ug, None, None)]
     for sign, s in zip((1, -1), "+-"):
         # injected fault: the + sector gets the - sector's chain
         h = build_hamiltonian(ModelSpec(
             BOUNDARY_FAMILY[-1 if flip_boundary else sign], L))
         # the factors of D± and D̂± in gauge.py
-        conserved(f"[H{s}, D{s}]", f"H{s}", h, u2,
-                  symmetry_projector(sign, h.layout))
-        conserved(f"[H_G, D_hat{s}]", "H_G", hg, ug,
-                  symmetry_projector(sign, hg.layout, on_ancilla=True))
-        records.append((f"[H{s}, U2] nonzero",
-                        lambda h=h, s=s: _commutator_norm(
-                            h, images[f"H{s}"], PauliSum.identity(h.layout)),
-                        0.1, True))
-    if all(math.isfinite(r[2]) for r in records):
-        checks = [(name, measure(), tol, above)
-                  for name, measure, tol, above in records]
-        if all(math.isfinite(c[1]) for c in checks):
-            return out + [_check(*c) for c in checks]
+        rows += [(f"[H{s}, D{s}]", h, u2, symmetry_projector(sign, h.layout), None),
+                 (f"[H_G, D_hat{s}]", hg, ug,
+                  symmetry_projector(sign, hg.layout, on_ancilla=True), None),
+                 (f"[H{s}, U2] nonzero", h, u2, None, 0.1)]
+    thresholds = []  # conserved: below 1e-10 max(‖H‖_F ‖P‖_F, 1)
+    for _, h, _, p, bound in rows:
+        norm_p = (PauliSum.identity(h.layout) if p is None else p).frobenius_norm()
+        thresholds.append(bound if bound is not None else
+                          1e-10 * max(h.frobenius_norm() * norm_p, 1.0) * tol_scale)
+    if all(map(math.isfinite, thresholds)):
+        images: dict[int, PauliSum] = {}  # U H U† by Hamiltonian object
+        checks = []
+        for (name, h, u, p, bound), tol in zip(rows, thresholds):
+            if id(h) not in images:
+                images[id(h)] = conjugate_sum(u, h)
+            # a circuit alone: P = 1 is its own image
+            q = PauliSum.identity(h.layout) if p is None else conjugate_sum(u, p)
+            checks.append(_check(name, _commutator_norm(h, images[id(h)], q),
+                                 tol, above=bound is not None))
+        if all(math.isfinite(c["measured"]) for c in checks):
+            return out + checks
     return out + [_skip("commutator norms", f"{L + 1} sites puts a norm or "
                         "threshold past the float range")]
 
@@ -367,8 +358,9 @@ def _run(config_keys: tuple[str, ...], battery, extra: dict | None = None) -> No
 
 
 _SIGNS = {"+": 1, "-": -1}
-_pairs_option = click.option("--pairs", type=click.IntRange(min=1), default=100,
-                             show_default=True)
+# a state pair holds about half a MB at L = 11: bound the count, and so memory
+_pairs_option = click.option("--pairs", type=click.IntRange(1, 1 << DENSE_SITE_LIMIT),
+                             default=100, show_default=True)
 
 
 def _finite_positive(ctx, param, value: float) -> float:

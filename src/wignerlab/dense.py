@@ -1,15 +1,15 @@
 """Dense complex-matrix materialization, eigensolving, and state experiments.
 
-A Pauli string or sum is built as a table of rows keyed by X mask: row
-``mask`` holds ``<c ^ mask| O |c>`` for every column ``c``, one row per
-distinct mask in sorted term order, and the only dim x dim matrix is written
-once at the end.  A Clifford circuit ``U`` is built from its stabilizer
-images (Aaronson & Gottesman, quant-ph/0406196): ``U|c> = (U X^c U†) U|0>``,
-so column 0 is one vector pass over its quarter rotations, and columns
-``[2^j, 2^(j+1))`` are columns ``[0, 2^j)`` under ``U X_j U†``, a row gather
-and an exact ``±1`` or ``±i`` per row.  A circuit times strings or sums of
-one nonzero X mask each, such as ``U2 (1 + eta) / 2``, is that matrix
-updated in place by each factor's ``diag + v X^x``.
+A Pauli string or sum is grouped by X mask: mask ``x`` holds the vector
+``v[c] = <c ^ x| O |c>``, its terms added in sorted order, and each ``v``
+is scattered onto the entries ``(c ^ x, c)`` of the one dim x dim matrix.
+A Clifford circuit ``U`` is built from its stabilizer images (Aaronson &
+Gottesman, quant-ph/0406196): ``U|c> = (U X^c U†) U|0>``, so column 0 is one
+vector pass over its quarter rotations, and columns ``[2^j, 2^(j+1))`` are
+columns ``[0, 2^j)`` under ``U X_j U†``, a row gather and an exact ``±1`` or
+``±i`` per row.  A circuit times strings or sums of one nonzero X mask each,
+such as ``U2 (1 + eta) / 2``, is that matrix updated in place by each
+factor's ``diag + v X^x``, grouped the same way.
 The Hermitian eigensolver splits matrices into the connected components of
 their exact nonzero patterns, so a matrix in a basis that diagonalizes its
 symmetries is solved sector by sector, and solves each size class of
@@ -147,36 +147,15 @@ def _chunk_rows(width: int) -> int:
     return max(1, _CHUNK_BYTES // (16 * width))
 
 
-def _flat(masks: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Flat indices ``(masks[i] ^ c) * dim + c`` of the entries of the table
-    rows of ``masks`` in a C-ordered dim x dim matrix: the diagonal's
-    ``c (dim + 1)`` with its row bits XORed by the mask."""
-    dim = len(cols)
-    return (masks[:, None] * dim) ^ (cols * (dim + 1))
-
-
-def _table_matrix(terms: list[tuple[tuple[int, int], complex]],
-                  dim: int) -> np.ndarray:
-    """The matrix of a string or sum from its sorted ``((x, z), c)`` terms.
-
-    The terms are added into a table of rows keyed by X mask,
-    ``rows[i, c] = <c ^ masks[i]| O |c>``, one row per distinct mask in
-    term order, and each row is scattered onto its diagonal of the one
-    dim x dim matrix, a chunk of rows at a time.
-    """
-    cols = np.arange(dim)
-    index = {x: i for i, x in
-             enumerate(dict.fromkeys(x for (x, _), _ in terms))}
-    rows = np.zeros((len(index), dim), dtype=complex)
+def _by_mask(terms: list[tuple[tuple[int, int], complex]],
+             cols: np.ndarray) -> dict[int, np.ndarray]:
+    """``{x: v}`` with ``v[c] = <c ^ x| O |c>`` from the sorted
+    ``((x, z), c)`` terms of ``O``: each mask's terms added in term order,
+    starting from ``0``, so no ``-0.0`` survives."""
+    groups: dict[int, np.ndarray] = {}
     for (x, z), c in terms:
-        rows[index[x]] += c * _values(z, 0, cols)
-    masks = np.fromiter(index, dtype=np.int64, count=len(index))
-    m = np.zeros((dim, dim), dtype=complex)
-    flat = m.reshape(-1)
-    per = _chunk_rows(dim)
-    for a in range(0, len(masks), per):
-        flat[_flat(masks[a:a + per], cols)] = rows[a:a + per]
-    return m
+        groups[x] = groups.get(x, 0) + c * _values(z, 0, cols)
+    return groups
 
 
 def _circuit_matrix(c: CliffordCircuit) -> np.ndarray:
@@ -217,13 +196,13 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
     multiplied on the right by strings or sums of one nonzero X mask each,
     left to right, such as ``U (1 + eta) / 2``.
 
-    A string or sum is scattered from its table of rows keyed by X mask
-    (``_table_matrix``); a circuit is built column 0 first and then by
-    doubling through the images of its X_j (``_circuit_matrix``).  Each
-    right factor is grouped by X mask into ``diag + v X^x`` and multiplies
-    the circuit's matrix in place, a chunk of rows at a time.  Raises
-    ``ValueError`` for right factors on another layout, on a string or sum,
-    or with two or more nonzero X masks.
+    A string or sum is grouped by X mask (``_by_mask``) and each mask's
+    ``v`` is scattered onto ``m[c ^ x, c]``; a circuit is built column 0
+    first and then by doubling through the images of its X_j
+    (``_circuit_matrix``).  Each right factor, grouped the same way into
+    ``diag + v X^x``, multiplies the circuit's matrix in place, a chunk of
+    rows at a time.  Raises ``ValueError`` for right factors on another
+    layout, on a string or sum, or with two or more nonzero X masks.
     """
     layout = obj.layout
     if any(factor.layout != layout for factor in right):
@@ -235,15 +214,16 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
         raise ValueError("a right factor holds more than one nonzero X mask")
     check_limit(layout.total_sites, "dense")
     dim = layout.dim
-    if not isinstance(obj, CliffordCircuit):
-        return DenseOperator(_table_matrix(_terms(obj), dim))
-    m = _circuit_matrix(obj)
     cols = np.arange(dim)
+    if not isinstance(obj, CliffordCircuit):
+        m = np.zeros((dim, dim), dtype=complex)
+        for x, v in _by_mask(_terms(obj), cols).items():
+            m[cols ^ x, cols] = v
+        return DenseOperator(m)
+    m = _circuit_matrix(obj)
     per = _chunk_rows(dim)
     for factor in factors:
-        groups: dict[int, np.ndarray] = {}
-        for (x, z), c in factor:
-            groups[x] = groups.get(x, 0) + c * _values(z, 0, cols)
+        groups = _by_mask(factor, cols)
         diag = groups.pop(0, np.zeros(dim))
         if not groups:
             m *= diag

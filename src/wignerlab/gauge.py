@@ -74,41 +74,22 @@ def gauss_sector_projector(L: int) -> PauliSum:
     return proj
 
 
-def _cluster(values: np.ndarray, tol: float = 1e-8) -> list[tuple[float, int]]:
-    out: list[list] = []
-    for v in np.sort(values):
-        if out and abs(v - out[-1][0]) < tol:
-            out[-1][1] += 1
-        else:
-            out.append([float(v), 1])
-    return [(v, m) for v, m in out]
-
-
 def spectral_multiset_factor(ev_a: np.ndarray, ev_b: np.ndarray,
                              tol: float = 1e-8) -> dict:
-    """Uniform multiplicity factor between two eigenvalue multisets, if any."""
-    ca, cb = _cluster(ev_a, tol), _cluster(ev_b, tol)
-    mismatches = []
-    factor = None
-    if len(ca) != len(cb):
-        mismatches.append({"reason": "different cluster counts",
-                           "a": len(ca), "b": len(cb)})
+    """Uniform multiplicity factor ``k`` between two eigenvalue multisets, if
+    any: sorted ``ev_a`` matches sorted ``ev_b`` with each value repeated
+    ``k`` times, entry by entry within ``tol``.  Sizes that are not a whole
+    multiple, empty inputs included, are a mismatch."""
+    a, b = np.sort(ev_a), np.sort(ev_b)
+    k = len(a) // len(b) if len(b) else 0
+    if not k or len(a) != k * len(b):
+        mismatches = [{"reason": "sizes differ by no whole factor",
+                       "a": len(a), "b": len(b)}]
     else:
-        ratios = []
-        for (va, ma), (vb, mb) in zip(ca, cb):
-            if abs(va - vb) > tol:
-                mismatches.append({"a_value": va, "b_value": vb})
-                continue
-            if ma % mb:
-                mismatches.append({"value": va, "a_mult": ma, "b_mult": mb})
-                continue
-            ratios.append(ma // mb)
-        if not mismatches:
-            if len(set(ratios)) == 1:
-                factor = ratios[0]
-            else:
-                mismatches.append({"reason": "non-uniform factor",
-                                   "ratios": ratios})
+        b = np.repeat(b, k)
+        mismatches = [{"a_value": float(a[i]), "b_value": float(b[i])}
+                      for i in np.flatnonzero(np.abs(a - b) > tol)]
+    factor = None if mismatches else k
     return {"uniform_factor": factor, "mismatches": mismatches,
             "equivalent": factor is not None}
 

@@ -2,13 +2,13 @@
 
 These helpers deliberately avoid the package's own dense backend: string
 matrices are assembled from literal 2x2 Paulis with np.kron and gate matrices
-from literal 4x4 gates or scipy's expm, so that the bit-action implementation
-in wignerlab.dense is tested against a second, structurally different
-construction.
+from literal 4x4 gates or, for a quarter rotation about a string ``A`` with
+``A^2 = 1``, from ``exp(i t pi/4 A) = (1 + i t A)/sqrt(2)`` on the kron-built
+``A``, so that the bit-action implementation in wignerlab.dense is tested
+against a second, structurally different construction.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 Hadamard, QuarterRotation, Swap)
@@ -85,7 +85,8 @@ def oracle_gate_matrix(layout, g) -> np.ndarray:
     if isinstance(g, Swap):
         return embed_two_site(SWAP4, n, layout.index_of(g.i), layout.index_of(g.j))
     if isinstance(g, QuarterRotation):
-        return expm(1j * g.sign * (np.pi / 4) * oracle_string_matrix(g.axis))
+        a = oracle_string_matrix(g.axis)
+        return (np.eye(len(a)) + 1j * g.sign * a) / np.sqrt(2)
     raise TypeError(g)
 
 

@@ -67,6 +67,19 @@ def test_usage_errors_exit_two(args):
     assert run(*args).exit_code == 2
 
 
+@pytest.mark.parametrize("command", ["transition-check", "full-suite"])
+def test_pairs_past_the_bound_are_a_usage_error(monkeypatch, command):
+    from wignerlab import cli
+
+    def forbidden(*_):
+        raise AssertionError("state built")
+
+    monkeypatch.setattr(cli, "random_state", forbidden)
+    res = run(command, "--L", "11", "--pairs", "4097")
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "Usage:" in res.output and "--pairs" in res.output
+
+
 def test_gauge_equivalence_at_L5():
     res = run("gauge-equivalence", "--L", "5")
     assert res.exit_code == 0, res.output

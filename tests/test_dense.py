@@ -83,6 +83,8 @@ def test_rotation_matches_expm_oracle():
                                           (QuarterRotation(axis, sign),))).matrix
         want = expm(1j * sign * math.pi / 4 * oracle_string_matrix(axis))
         assert np.allclose(got, want, atol=1e-12)
+        assert np.allclose(oracle_gate_matrix(LAYOUT3, QuarterRotation(axis, sign)),
+                           want, atol=1e-12)
 
 
 def test_controlled_and_swap_gates_dense():
@@ -133,7 +135,7 @@ def rotations(layout):
                                link_layout(3), link_layout(2)]))
 def test_random_rotation_circuits_match_oracle(data, layout):
     # every flip pattern, diagonal runs and the global phase, against the
-    # product of expm(i t pi/4 A) built from kron chains
+    # product of (1 + i t A)/sqrt(2) built from kron chains
     gates = data.draw(st.lists(rotations(layout), max_size=10))
     c = CliffordCircuit(layout, tuple(gates))
     got = materialize(c).matrix
@@ -216,8 +218,8 @@ def test_circuit_times_factors_in_and_out_of_its_masks_match_oracle(data, layout
 
 
 def _chunked_operators():
-    """Operators that take every chunked path: column doubling, the column
-    update of a right factor, and the scatter of a sum."""
+    """Operators that take every chunked path (column doubling and the column
+    update of a right factor) and the scatter of a sum."""
     return [materialize(build_u1(4)), materialize(build_u_gauged(3)),
             build_d_noninvertible(4, 1), build_d_hat(3, -1),
             materialize(build_hamiltonian(ModelSpec(Family.OPEN_H1, 4))),
@@ -258,10 +260,15 @@ def test_d_operators_equal_circuit_times_projector(L, sign):
     lambda: materialize(build_u1(9)),
     lambda: build_d_noninvertible(9, 1), lambda: build_d_noninvertible(9, -1),
     lambda: build_d_hat(8, 1), lambda: build_d_hat(8, -1),
-    lambda: materialize(build_u2(10))],
-    ids=["u1-9", "d+9", "d-9", "d_hat+8", "d_hat-8", "u2-10"])
+    lambda: materialize(build_u2(10)),
+    lambda: materialize(build_hamiltonian(ModelSpec(Family.SELF_DUAL_CLOSED_H2, 9))),
+    lambda: materialize(build_hamiltonian(ModelSpec(Family.MINIMAL_GAUGED_HG, 8))),
+    lambda: materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, 4)))],
+    ids=["u1-9", "d+9", "d-9", "d_hat+8", "d_hat-8", "u2-10",
+         "h2-9", "h_g-8", "h_full-4"])
 def test_materialize_peak_is_result_and_one_scratch(make):
-    # the result, plus one chunk of rows and vectors of dim entries
+    # the result, plus one chunk of rows and vectors of dim entries: one
+    # per X mask for a sum
     tracemalloc.start()
     try:
         op = make()

@@ -204,6 +204,12 @@ def test_multiset_factor_detects_mismatch():
     assert not res["equivalent"] and res["mismatches"]
 
 
+@pytest.mark.parametrize("a, b", [([], []), ([1.0], []), ([], [1.0])])
+def test_multiset_factor_rejects_empty_inputs(a, b):
+    res = spectral_multiset_factor(np.array(a), np.array(b))
+    assert not res["equivalent"] and res["mismatches"]
+
+
 def test_multiset_factor_detects_nonuniform_degeneracy():
     a = np.array([0.0, 1.0, 1.0])
     b = np.array([0.0, 1.0])
