@@ -25,7 +25,7 @@ from .clifford import (build_u1, build_u2, build_u_gauged, conjugate_sum,
                        verify_automorphism)
 from .dense import (DENSE_SITE_LIMIT, TAU_EIG_PER_DIM, ConvergenceError,
                     DenseOperator, DimensionCapError, StateVector, check_limit,
-                    hermitian_eigensolve, materialize, over_limit, random_state,
+                    hermitian_eigensolve, materialize, over_limit,
                     transition_experiment, write_dense_binary, write_dense_csv)
 from .gauge import (SectorEmbedding, ancilla_sector_embedding, build_d_hat,
                     build_d_noninvertible, embed_state, gauss_sector_projector,
@@ -141,10 +141,16 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
 
 def _seeded_pairs(dim: int, seed: int, stream: int,
                   count: int) -> list[tuple[StateVector, StateVector]]:
-    """``count`` state pairs, state j of pair k seeded by ``(seed, stream, k, j)``:
-    stream 0 for the matter pairs, 1 for the embedded pairs."""
-    return [(random_state(dim, (seed, stream, k, 0)),
-             random_state(dim, (seed, stream, k, 1))) for k in range(count)]
+    """``count`` state pairs from one generator seeded by ``(seed, stream)``:
+    stream 0 for the matter pairs, 1 for the embedded pairs.  State ``j`` of
+    pair ``k`` is row ``2k + j`` of one ``normal`` draw of ``2 * dim``
+    floats per row, read as ``dim`` interleaved re/im parts and normalized
+    in place, so state k is the same for any count past k."""
+    rng = np.random.default_rng((seed, stream))
+    flat = rng.normal(size=(2 * count, 2 * dim))
+    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    states = [StateVector(row) for row in flat.view(complex)]
+    return list(zip(states[::2], states[1::2]))
 
 
 def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
@@ -445,6 +451,7 @@ def cmd_spectrum(model, matrix_out, matrix_format, L, tol_scale, **_):
             m = materialize(build_hamiltonian(spec)).matrix
             _write(matrix_out, lambda p: dump(p, m))
         extra["eigenvalues"] = [float(v) for v in result.eigenvalues]
+        extra["block_sizes"] = list(result.block_sizes)
         return [_check("eigensolver residual", result.residual,
                        TAU_EIG_PER_DIM * op.dim * tol_scale)]
 

@@ -39,7 +39,9 @@ JACOBI_SWEEP_CAP = 100
 
 # The only limits on dense work, in total sites; every caller asks over_limit.
 DENSE_SITE_LIMIT = 12       # memory: one complex128 matrix is 256 MiB
-EIGENSOLVE_SITE_LIMIT = 10  # Jacobi time, not memory: fully gauged chain at L = 5
+# Jacobi time, not memory: up to the fully gauged chain at L = 5, which its
+# frame (models.eigensolve_frame) splits into 64 blocks of 16
+EIGENSOLVE_SITE_LIMIT = 10
 SITE_LIMITS = {"dense": DENSE_SITE_LIMIT, "eigensolve": EIGENSOLVE_SITE_LIMIT}
 
 

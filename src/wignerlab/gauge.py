@@ -98,10 +98,12 @@ def spectral_equivalence_check(L: int) -> dict:
     """Fully gauged vs minimally gauged spectra, up to a uniform degeneracy.
 
     The observed factor is reported, not assumed; dimension counting predicts
-    2^(L-1).  Both chains are solved in the basis of
-    ``models.eigensolve_hamiltonian``, where H_full falls apart into the 2^L
-    Gauss sectors, and in one ``hermitian_eigensolve_all`` call, so blocks
-    of one size from both chains share a stack.
+    2^(L-1).  Both chains are solved in the frame of
+    ``models.eigensolve_hamiltonian``, where for L >= 3 H_full falls apart
+    into 2^(L+1) blocks of 2^(L-1), one per joint sector of its Gauss laws
+    and Wilson loop, and H_min into 4 (eta and the ancilla Z), and in one
+    ``hermitian_eigensolve_all`` call, so blocks of one size from both
+    chains share a stack.
     """
     check_limit(2 * L, "eigensolve")
     ev_full, ev_min = (res.eigenvalues for res in hermitian_eigensolve_all(

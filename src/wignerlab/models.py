@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .clifford import (CliffordCircuit, DualityMap, Hadamard, build_u2,
-                       conjugate_sum)
+from .clifford import (CliffordCircuit, ControlledX, DualityMap, Hadamard,
+                       build_u2, conjugate_sum)
 from .pauli import (HilbertLayout, PauliString, PauliSum, _string,
                     ancilla_layout, eta_string, link_layout, matter_layout,
                     sum_commutator, symmetry_projector)
@@ -101,16 +101,28 @@ def build_hamiltonian(spec: ModelSpec) -> PauliSum:
     return PauliSum(layout, terms)
 
 
+def eigensolve_frame(spec: ModelSpec) -> CliffordCircuit:
+    """The Clifford frame ``U`` in which ``spec``'s Pauli symmetries are Z
+    strings: a Hadamard on every matter site, which makes eta and each Gauss
+    operator Z X_j Z diagonal, and for H_full in front of those
+    ``H_{1/2} prod_{l != 1/2} CX(1/2 -> l)``, which maps the Wilson loop
+    ``emergent_boundary_z`` to Z on link 1/2 (the Gauss operators stay Z
+    strings: each CX adds Z_{1/2} to a Z on its target, and each Gauss
+    operator's two links pick it up twice or cancel the one on 1/2)."""
+    gates = tuple(Hadamard(j) for j in range(1, spec.L + 1))
+    if spec.family is Family.FULLY_GAUGED_HG:
+        first, *rest = spec.layout.gauge_slots  # "1/2", then 3/2 .. L-1/2
+        gates = (Hadamard(first), *(ControlledX(first, l) for l in rest), *gates)
+    return CliffordCircuit(spec.layout, gates)
+
+
 def eigensolve_hamiltonian(spec: ModelSpec) -> PauliSum:
-    """The Hamiltonian of ``spec`` in the basis its eigensolve uses: H_full
-    after a Hadamard on every matter site, an exact similarity that makes each
-    Gauss operator Z X_j Z diagonal (Z Z_j Z) so the matrix falls apart into
-    the 2^L Gauss sectors; every other family as built."""
-    h = build_hamiltonian(spec)
-    if spec.family is not Family.FULLY_GAUGED_HG:
-        return h
-    return conjugate_sum(CliffordCircuit(
-        h.layout, tuple(Hadamard(j) for j in range(1, spec.L + 1))), h)
+    """The Hamiltonian of ``spec`` in the basis its eigensolve uses:
+    ``U H U†`` for ``U = eigensolve_frame(spec)``, an exact similarity.  Its
+    matrix falls apart into the joint sectors of the symmetries, for L >= 3
+    into 2 blocks of 2^(L-1) for h1, h2 and h+-, 4 (eta and the ancilla Z)
+    for H_min and 2^(L+1) (the Gauss law and the Wilson loop) for H_full."""
+    return conjugate_sum(eigensolve_frame(spec), build_hamiltonian(spec))
 
 
 def gauss_law_operators(L: int) -> list[PauliSum]:

@@ -4,6 +4,7 @@ timing header, dimension-cap skipping, and fault injection."""
 import contextlib
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_pairs_past_the_bound_are_a_usage_error(monkeypatch, command):
     def forbidden(*_):
         raise AssertionError("state built")
 
-    monkeypatch.setattr(cli, "random_state", forbidden)
+    monkeypatch.setattr(cli, "_seeded_pairs", forbidden)
     res = run(command, "--L", "11", "--pairs", "4097")
     assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
     assert "Usage:" in res.output and "--pairs" in res.output
@@ -214,8 +215,11 @@ def test_spectrum_full_gauged_is_solved_by_gauss_sector(tmp_path):
     m = read_dense_binary(path)
     want = materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, 4)))
     assert np.array_equal(m, want.matrix)
-    got = np.array(json.loads(res.output)["eigenvalues"])
+    report = json.loads(res.output)
+    got = np.array(report["eigenvalues"])
     assert np.max(np.abs(got - np.linalg.eigvalsh(m))) < 1e-12
+    # one block per joint sector of the 4 Gauss laws and the Wilson loop
+    assert report["block_sizes"] == [8] * 32
     res = run("spectrum", "--model", "h-full-gauged", "--L", "5")
     assert res.exit_code == 0, res.output
 
@@ -237,6 +241,28 @@ def test_seeded_pairs_do_not_collide():
     assert len(matter) == 200
     assert not matter & states(500, 0)
     assert not matter & states(0, 1)
+
+
+def test_seeded_pairs_are_prefix_stable():
+    long, short = _seeded_pairs(8, 3, 1, 100), _seeded_pairs(8, 3, 1, 10)
+    assert len(long) == 100 and len(short) == 10
+    for a, b in zip(long, short):
+        for x, y in zip(a, b):
+            assert x.amplitudes.tobytes() == y.amplitudes.tobytes()
+            assert abs(x.norm - 1.0) < 1e-14
+
+
+def test_seeded_pairs_peak_at_their_own_bytes():
+    # the largest request --pairs allows at L = 11: 256 MiB of states
+    dim, count = 2048, 4096
+    tracemalloc.start()
+    try:
+        pairs = _seeded_pairs(dim, 0, 0, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == count and pairs[-1][1].dim == dim
+    assert peak <= 1.25 * 2 * count * dim * 16
 
 
 def test_commutator_and_projector_checks_materialize_nothing(monkeypatch):

@@ -588,8 +588,8 @@ def test_rotated_h_full_is_one_stack(monkeypatch):
                         lambda stack, cap: calls.append(stack.shape) or jacobi(stack, cap))
     h = eigensolve_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, 4))
     res = hermitian_eigensolve(materialize(h))
-    assert calls == [(16, 16, 16)]
-    assert res.block_sizes == (16,) * 16
+    assert calls == [(32, 8, 8)]
+    assert res.block_sizes == (8,) * 32
     m = materialize(h).matrix
     assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
 

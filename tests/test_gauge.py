@@ -235,8 +235,11 @@ def test_rotated_full_gauged_spectrum_matches_unrotated(L, monkeypatch):
     h = materialize(build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, L)))
     assert np.max(np.abs(hermitian_eigensolve(rotated).eigenvalues
                          - np.linalg.eigvalsh(h.matrix))) < 1e-12
-    # one block per Gauss sector
-    assert connected_components(rotated != 0, directed=False)[0] == 1 << L
+    # one block per joint sector of the Gauss law and the Wilson loop; at
+    # L = 2 both bonds join sites 1 and 2, so their link terms share an X
+    # mask and cancel where the Wilson loop is -1, leaving 1x1 blocks there
+    want = 12 if L == 2 else 1 << (L + 1)
+    assert connected_components(rotated != 0, directed=False)[0] == want
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5])

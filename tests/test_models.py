@@ -1,10 +1,14 @@
 """Hamiltonian term lists, symmetry content, Gauss laws, and the dual-variable
 identities of the gauged chains."""
 
+import numpy as np
 import pytest
 
+from wignerlab.clifford import conjugate_circuit
+from wignerlab.dense import hermitian_eigensolve, materialize
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
                               dual_string_z, dual_variable_map,
+                              eigensolve_frame, eigensolve_hamiltonian,
                               emergent_boundary_z, eta_conservation,
                               gauss_law_operators, projected_commutation_check)
 from wignerlab.pauli import (PauliString, PauliSum, commutes, eta_string,
@@ -238,3 +242,43 @@ def test_emergent_boundary_z(L):
                   PauliString.single(lay, "X", _link_label(L, L))),
               PauliString.single(lay, "Z", 1))
     assert lhs == mul(rhs, s) or lhs == mul(s, rhs)
+
+
+# -- the eigensolve frame -------------------------------------------------------
+
+def _symmetries(spec):
+    """eta, and the ancilla Z of H_min or the Gauss laws and the Wilson loop
+    of H_full, on the layout of ``spec``."""
+    out = [eta_string(spec.layout)]
+    if spec.family is Family.MINIMAL_GAUGED_HG:
+        out.append(PauliString.single(spec.layout, "Z", "L+1"))
+    if spec.family is Family.FULLY_GAUGED_HG:
+        out += [p for g in gauss_law_operators(spec.L) for _, p in g]
+        out.append(emergent_boundary_z(spec.L))
+    return out
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 7])
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.value)
+def test_frame_makes_every_symmetry_a_z_string(fam, L):
+    spec = ModelSpec(fam, L)
+    frame = eigensolve_frame(spec)
+    images = [conjugate_circuit(frame, p) for p in _symmetries(spec)]
+    assert all(p.x_mask == 0 for p in images)
+    if fam is Family.FULLY_GAUGED_HG:
+        assert images[-1] == PauliString.single(spec.layout, "Z", "1/2")
+
+
+@pytest.mark.parametrize("fam, L", [
+    (fam, L) for fam in ALL_FAMILIES for L in range(2, 7)
+    if fam is not Family.FULLY_GAUGED_HG or L <= 5  # 2L sites: eigensolve limit
+], ids=lambda v: getattr(v, "value", v))
+def test_framed_spectrum_matches_the_built_matrix(fam, L):
+    spec = ModelSpec(fam, L)
+    res = hermitian_eigensolve(materialize(eigensolve_hamiltonian(spec)))
+    want = np.linalg.eigvalsh(materialize(build_hamiltonian(spec)).matrix)
+    assert np.max(np.abs(res.eigenvalues - want)) < 1e-12
+    if L >= 3:  # one block per joint sector, 2^(L-1) states each: 2 for
+        # h1, h2 and h+-, 4 for H_min, 2^(L+1) for H_full
+        n = 1 << (L - 1)
+        assert res.block_sizes == (n,) * (len(want) // n)
