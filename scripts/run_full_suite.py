@@ -9,7 +9,7 @@ Exits 0 if every check passes, 1 if one fails, 2 on bad arguments.
 
 import sys
 
-from wignerlab.cli import full_suite_checks
+from wignerlab.cli import L_LIMIT, full_suite_checks
 
 
 def run(L: int) -> bool:
@@ -29,9 +29,9 @@ def main(argv: list[str]) -> int:
         lmin, lmax = map(int, argv + ["2", "4"][len(argv):])
     except ValueError:  # not an integer, or too many arguments
         lmin = lmax = 0
-    if not 2 <= lmin <= lmax:
+    if not 2 <= lmin <= lmax <= L_LIMIT:
         print("usage: run_full_suite.py [Lmin] [Lmax]  (integers, "
-              "2 <= Lmin <= Lmax)", file=sys.stderr)
+              f"2 <= Lmin <= Lmax <= {L_LIMIT})", file=sys.stderr)
         return 2
     ok = all([run(L) for L in range(lmin, lmax + 1)])
     return 0 if ok else 1

@@ -24,10 +24,10 @@ def main(argv: list[str]) -> int:
         return 2
     for L in range(lmin, lmax + 1):
         for fam in Family:
-            h = eigensolve_hamiltonian(ModelSpec(fam, L))
-            if over_limit(h.layout.total_sites, "eigensolve"):
+            spec = ModelSpec(fam, L)
+            if over_limit(spec.layout.total_sites, "eigensolve"):
                 continue
-            op = materialize(h)
+            op = materialize(eigensolve_hamiltonian(spec))
             ev = hermitian_eigensolve(op).eigenvalues[:n_levels]
             levels = "  ".join(f"{v:+.6f}" for v in ev)
             print(f"L={L}  {fam.value:<16} dim={op.dim:<5} {levels}")

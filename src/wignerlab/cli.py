@@ -342,9 +342,14 @@ def _emit(command: str, config: dict, checks: list[dict],
     return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 
-def _run(config_keys: tuple[str, ...], battery, extra: dict | None = None) -> None:
-    """Time ``battery()``, emit the current command's report with the named
-    options as its config, and exit with the report's code.
+#: options that say only where output goes, left out of a report's config
+_OUTPUT_PARAMS = ("fmt", "out_path", "matrix_out", "matrix_format")
+
+
+def _run(battery, extra: dict | None = None) -> None:
+    """Time ``battery()``, emit the current command's report with its own
+    options, minus those in ``_OUTPUT_PARAMS``, as the config, and exit with
+    the report's code.
 
     A request over a dense site limit is a usage error; a Jacobi solve that
     does not converge is a failed check.
@@ -358,15 +363,9 @@ def _run(config_keys: tuple[str, ...], battery, extra: dict | None = None) -> No
     except ConvergenceError as exc:
         checks = [dict(_bool_check("eigensolver converged", False),
                        reason=str(exc))]
-    config = {k: ctx.params[k] for k in config_keys}
+    config = {k: v for k, v in ctx.params.items() if k not in _OUTPUT_PARAMS}
     sys.exit(_emit(ctx.info_name, config, checks, ctx.params["fmt"],
                    ctx.params["out_path"], started, extra or {}))
-
-
-_SIGNS = {"+": 1, "-": -1}
-# a state pair holds about half a MB at L = 11: bound the count, and so memory
-_pairs_option = click.option("--pairs", type=click.IntRange(1, 1 << DENSE_SITE_LIMIT),
-                             default=100, show_default=True)
 
 
 def _finite_positive(ctx, param, value: float) -> float:
@@ -375,19 +374,27 @@ def _finite_positive(ctx, param, value: float) -> float:
     return value
 
 
+_SIGNS = {"+": 1, "-": -1}
+#: the largest --L: full-suite takes about 20 s and 150 MB there on 2 cores,
+#: about five times as long per doubling; the symbolic commands take less
+L_LIMIT = 8192
+# a state pair holds about half a MB at L = 11: bound the count, and so memory
+_pairs_option = click.option("--pairs", type=click.IntRange(1, 1 << DENSE_SITE_LIMIT),
+                             default=100, show_default=True)
+_sign_option = click.option("--sign", type=click.Choice(["+", "-"]), default="+",
+                            show_default=True)
+_seed_option = click.option("--seed", type=click.IntRange(min=0), default=0,
+                            show_default=True)
+_tol_scale_option = click.option("--tol-scale", type=float, default=1.0,
+                                 show_default=True, callback=_finite_positive)
+
+
 def _common(f):
-    f = click.option("--L", "L", type=click.IntRange(min=2), default=3,
-                     show_default=True)(f)
-    f = click.option("--sign", type=click.Choice(["+", "-"]), default="+",
-                     show_default=True)(f)
-    f = click.option("--seed", type=click.IntRange(min=0), default=0,
-                     show_default=True)(f)
+    f = click.option("--out", "out_path", type=click.Path(), default=None)(f)
     f = click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                      default="json", show_default=True)(f)
-    f = click.option("--out", "out_path", type=click.Path(), default=None)(f)
-    f = click.option("--tol-scale", type=float, default=1.0, show_default=True,
-                     callback=_finite_positive)(f)
-    return f
+    return click.option("--L", "L", type=click.IntRange(2, L_LIMIT), default=3,
+                        show_default=True)(f)
 
 
 @click.group()
@@ -399,52 +406,56 @@ def main() -> None:
 @main.command("verify-automorphism")
 @click.option("--circuit", type=click.Choice(sorted(_CIRCUITS)), required=True)
 @_common
-def cmd_verify_automorphism(circuit, L, **_):
+def cmd_verify_automorphism(circuit, L, fmt, out_path):
     """Check a duality circuit against its generator table, symbolically."""
-    _run(("circuit", "L", "seed", "tol_scale"),
-         lambda: automorphism_checks(circuit, L))
+    _run(lambda: automorphism_checks(circuit, L))
 
 
 @main.command("commutators")
 @_common
-def cmd_commutators(L, tol_scale, **_):
+@_tol_scale_option
+def cmd_commutators(L, tol_scale, fmt, out_path):
     """Conservation and non-conservation commutator battery."""
-    _run(("L", "seed", "tol_scale"), lambda: commutator_checks(L, tol_scale))
+    _run(lambda: commutator_checks(L, tol_scale))
 
 
 @main.command("transition-check")
-@_pairs_option
 @_common
-def cmd_transition_check(pairs, L, sign, seed, tol_scale, **_):
+@_sign_option
+@_seed_option
+@_pairs_option
+@_tol_scale_option
+def cmd_transition_check(L, sign, seed, pairs, tol_scale, fmt, out_path):
     """Probability violation on the matter space vs preservation when gauged."""
-    _run(("L", "sign", "seed", "pairs", "tol_scale"),
-         lambda: transition_checks(L, _SIGNS[sign], seed, pairs, tol_scale))
+    _run(lambda: transition_checks(L, _SIGNS[sign], seed, pairs, tol_scale))
 
 
 @main.command("polar")
 @_common
-def cmd_polar(L, sign, seed, tol_scale, **_):
+@_sign_option
+@_seed_option
+@_tol_scale_option
+def cmd_polar(L, sign, seed, tol_scale, fmt, out_path):
     """Polar-decomposition structure checks for the gauged symmetry operator."""
-    _run(("L", "sign", "seed", "tol_scale"),
-         lambda: polar_checks(L, _SIGNS[sign], seed, tol_scale))
+    _run(lambda: polar_checks(L, _SIGNS[sign], seed, tol_scale))
 
 
 @main.command("spectrum")
 @click.option("--model", type=click.Choice(sorted(_MODELS)), required=True)
+@_common
+@_tol_scale_option
 @click.option("--matrix-out", type=click.Path(), default=None,
               help="Also dump the dense Hamiltonian matrix.")
 @click.option("--matrix-format", type=click.Choice(["bin", "csv"]),
               default="bin", show_default=True)
-@_common
-def cmd_spectrum(model, matrix_out, matrix_format, L, tol_scale, **_):
+def cmd_spectrum(model, L, tol_scale, matrix_out, matrix_format, fmt, out_path):
     """Sorted eigenvalues of a model Hamiltonian."""
     extra = {}
 
     def battery():
         spec = ModelSpec(_MODELS[model], L)
-        h = eigensolve_hamiltonian(spec)
-        check_limit(h.layout.total_sites, "eigensolve")
-        op = materialize(h)
+        check_limit(spec.layout.total_sites, "eigensolve")
+        op = materialize(eigensolve_hamiltonian(spec))
         result = hermitian_eigensolve(op)
         if matrix_out:
             dump = write_dense_binary if matrix_format == "bin" else write_dense_csv
@@ -455,27 +466,30 @@ def cmd_spectrum(model, matrix_out, matrix_format, L, tol_scale, **_):
         return [_check("eigensolver residual", result.residual,
                        TAU_EIG_PER_DIM * op.dim * tol_scale)]
 
-    _run(("model", "L", "tol_scale"), battery, extra)
+    _run(battery, extra)
 
 
 @main.command("gauge-equivalence")
 @_common
-def cmd_gauge_equivalence(L, tol_scale, **_):
+@_tol_scale_option
+def cmd_gauge_equivalence(L, tol_scale, fmt, out_path):
     """Fully gauged vs minimally gauged spectral comparison."""
-    _run(("L", "tol_scale"), lambda: gauge_checks(L, tol_scale))
+    _run(lambda: gauge_checks(L, tol_scale))
 
 
 @main.command("full-suite")
+@_common
+@_sign_option
+@_seed_option
+@_pairs_option
+@_tol_scale_option
 @click.option("--inject-fault",
               type=click.Choice(["flip-boundary-sign", "nontrivial-projector"]),
               default=None)
-@_pairs_option
-@_common
-def cmd_full_suite(inject_fault, pairs, L, sign, seed, tol_scale, **_):
+def cmd_full_suite(L, sign, seed, pairs, tol_scale, inject_fault, fmt, out_path):
     """Every check in one run: automorphisms, commutators, counterexample,
     preservation, polar structure, corollary, spectral equivalence."""
-    _run(("L", "sign", "seed", "pairs", "tol_scale", "inject_fault"),
-         lambda: full_suite_checks(L, _SIGNS[sign], seed, pairs, tol_scale,
+    _run(lambda: full_suite_checks(L, _SIGNS[sign], seed, pairs, tol_scale,
                                    inject_fault))
 
 

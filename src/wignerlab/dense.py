@@ -87,11 +87,11 @@ class DenseOperator:
             raise ValueError("dimension mismatch")
         return self.matrix @ (np.conj(psi) if self.antilinear else psi)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
         if self.antilinear:
             return False
         scale = max(1.0, float(np.linalg.norm(self.matrix)))
-        return float(np.linalg.norm(self.matrix - self.matrix.conj().T)) < tol * scale
+        return float(np.linalg.norm(self.matrix - self.matrix.conj().T)) < 1e-10 * scale
 
 
 @dataclass(frozen=True)

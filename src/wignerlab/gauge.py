@@ -74,11 +74,10 @@ def gauss_sector_projector(L: int) -> PauliSum:
     return proj
 
 
-def spectral_multiset_factor(ev_a: np.ndarray, ev_b: np.ndarray,
-                             tol: float = 1e-8) -> dict:
+def spectral_multiset_factor(ev_a: np.ndarray, ev_b: np.ndarray) -> dict:
     """Uniform multiplicity factor ``k`` between two eigenvalue multisets, if
     any: sorted ``ev_a`` matches sorted ``ev_b`` with each value repeated
-    ``k`` times, entry by entry within ``tol``.  Sizes that are not a whole
+    ``k`` times, entry by entry within 1e-8.  Sizes that are not a whole
     multiple, empty inputs included, are a mismatch."""
     a, b = np.sort(ev_a), np.sort(ev_b)
     k = len(a) // len(b) if len(b) else 0
@@ -88,7 +87,7 @@ def spectral_multiset_factor(ev_a: np.ndarray, ev_b: np.ndarray,
     else:
         b = np.repeat(b, k)
         mismatches = [{"a_value": float(a[i]), "b_value": float(b[i])}
-                      for i in np.flatnonzero(np.abs(a - b) > tol)]
+                      for i in np.flatnonzero(np.abs(a - b) > 1e-8)]
     factor = None if mismatches else k
     return {"uniform_factor": factor, "mismatches": mismatches,
             "equivalent": factor is not None}

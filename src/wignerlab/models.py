@@ -1,4 +1,4 @@
-"""Model Hamiltonians, Gauss-law operators, and dual-variable rewriting.
+"""Model Hamiltonians, Gauss-law operators and their symmetries.
 
 All couplings sit at the self-dual point (every coefficient is -1).  Layouts:
 matter-only for the open/closed/(anti)periodic chains, one boundary ancilla
@@ -14,8 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .clifford import (CliffordCircuit, ControlledX, DualityMap, Hadamard,
-                       build_u2, conjugate_sum)
+from .clifford import (CliffordCircuit, ControlledX, Hadamard, build_u2,
+                       conjugate_sum)
 from .pauli import (HilbertLayout, PauliString, PauliSum, _string,
                     ancilla_layout, eta_string, link_layout, matter_layout,
                     sum_commutator, symmetry_projector)
@@ -52,15 +52,10 @@ class ModelSpec:
         return matter_layout(self.L)
 
 
-def _link_label(j: int, L: int) -> str:
-    """Label of the link carrying the (j, j+1) bond; (L,1) wraps to 1/2."""
-    j = (j - 1) % L + 1
-    return f"{2 * j + 1}/2" if j < L else "1/2"
-
-
 def _link_bit(j: int, L: int) -> int:
-    """Bit of that link in ``link_layout(L)``: label ``(2k+1)/2`` is slot
-    ``k``, so the (j, j+1) bond's link is slot ``j mod L``."""
+    """Bit of the link carrying the (j, j+1) bond in ``link_layout(L)``:
+    label ``(2k+1)/2`` is slot ``k``, so it is slot ``j mod L`` and the
+    (L, 1) bond wraps to 1/2."""
     return L + j % L
 
 
@@ -134,25 +129,6 @@ def gauss_law_operators(L: int) -> list[PauliSum]:
         g = _string(layout, 1 << (j - 1), (1 << left) ^ (1 << right), 0)
         out.append(PauliSum.from_string(g))
     return out
-
-
-def dual_string_z(L: int, j: int) -> PauliString:
-    """Disorder-dressed Z: the X-string over links 3/2..j-1/2 times Z_j."""
-    layout = link_layout(L)
-    z = 1 << layout.index_of(j)
-    # links 3/2 .. (2j-1)/2 are gauge slots 1 .. j-1, bits L+1 .. L+j-1
-    return _string(layout, ((1 << (j - 1)) - 1) << (L + 1), z, 0)
-
-
-def dual_variable_map(L: int) -> DualityMap:
-    """Table of dual matter variables on the fully gauged layout."""
-    layout = link_layout(L)
-    entries = []
-    for j in range(1, L + 1):
-        entries.append((_string(layout, 0, 1 << (j - 1), 0), dual_string_z(L, j)))
-        x = _string(layout, 1 << (j - 1), 0, 0)
-        entries.append((x, x))
-    return DualityMap("dual_variables", tuple(entries))
 
 
 def emergent_boundary_z(L: int) -> PauliString:

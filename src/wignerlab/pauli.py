@@ -256,11 +256,10 @@ class PauliSum:
     __slots__ = ("layout", "terms")
 
     def __init__(self, layout: HilbertLayout,
-                 terms: dict[tuple[int, int], complex] | None = None,
-                 tol: float = COEF_TOL):
+                 terms: dict[tuple[int, int], complex] | None = None):
         self.layout = layout
         self.terms: dict[tuple[int, int], complex] = (
-            {key: c for key, c in terms.items() if c != 0 and abs(c) > tol}
+            {key: c for key, c in terms.items() if c != 0 and abs(c) > COEF_TOL}
             if terms else {})
 
     # -- constructors ------------------------------------------------------

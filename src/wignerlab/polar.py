@@ -64,7 +64,6 @@ def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in mats):
         raise ValueError("svd requires a square matrix")
     grams = [a.conj().T @ a for a in mats]
-    grams = [0.5 * (g + g.conj().T) for g in grams]
     out = []
     for a, spec in zip(mats, hermitian_eigensolve_all(grams)):
         # recompute sigma_i = |A v_i| directly: the squared (Gram) eigenvalues
@@ -115,8 +114,7 @@ def polar_decompose(a: DenseOperator | np.ndarray) -> PolarFactors:
     return polar_decompose_all([a])[0]
 
 
-def verify_theorem_structure(d: DenseOperator, sector: SectorEmbedding,
-                             tol: float = 1e-9) -> dict:
+def verify_theorem_structure(d: DenseOperator, sector: SectorEmbedding) -> dict:
     """Block-structure checks on the PSD polar factor of a candidate symmetry.
 
     With P_H the projector on the embedded sector, checks that (i) the
@@ -125,7 +123,8 @@ def verify_theorem_structure(d: DenseOperator, sector: SectorEmbedding,
     P_hat P_H = P_H.  Each is read from the sector's rows and columns.  For
     (iii) the rows suffice: ``polar_decompose_all`` makes P_hat exactly
     Hermitian, so P_hat P_H - P_H is the conjugate transpose of
-    P_H P_hat - P_H and has the same norm up to rounding.  The report
+    P_H P_hat - P_H and has the same norm up to rounding.  ``passed`` holds
+    when all three are below 1e-9.  The report
     carries the polar ``factors``, singular values included, so that a
     later check on the same operator reuses them.
     """
@@ -146,8 +145,8 @@ def verify_theorem_structure(d: DenseOperator, sector: SectorEmbedding,
         "block_identity_error": block_identity_error,
         "offdiag_error": offdiag_error,
         "projector_identity_error": proj_error,
-        "passed": (block_identity_error < tol and offdiag_error < tol
-                   and proj_error < tol),
+        "passed": (block_identity_error < 1e-9 and offdiag_error < 1e-9
+                   and proj_error < 1e-9),
         "factors": factors,
     }
 

@@ -63,9 +63,16 @@ def test_full_suite_exits_zero():
     ("polar", "--L", "2", "--tol-scale", "inf"),
     ("polar", "--L", "2", "--tol-scale", "-1"),
     ("polar", "--L", "2", "--tol-scale", "0"),
+    # an option the command does not read
+    ("commutators", "--seed", "1"),
+    ("spectrum", "--model", "h2", "--sign", "-"),
+    ("gauge-equivalence", "--seed", "0"),
+    ("verify-automorphism", "--circuit", "u1", "--tol-scale", "2"),
 ])
 def test_usage_errors_exit_two(args):
-    assert run(*args).exit_code == 2
+    res = run(*args)
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "Usage:" in res.output
 
 
 @pytest.mark.parametrize("command", ["transition-check", "full-suite"])
@@ -105,6 +112,49 @@ def test_fault_injection_is_detected(fault):
     assert res.exit_code == 1
     report = json.loads(res.output)
     assert any(c["status"] == "fail" for c in report["checks"])
+
+
+# -- options and config -----------------------------------------------------------
+
+def _options(command):
+    return {p.name for p in main.commands[command].params}
+
+
+# the smallest run of each command: required options and a small L
+SMALLEST = {"verify-automorphism": ("--circuit", "u1", "--L", "2"),
+            "commutators": ("--L", "2"),
+            "transition-check": ("--L", "2", "--pairs", "2"),
+            "polar": ("--L", "2"),
+            "spectrum": ("--model", "h2", "--L", "2"),
+            "gauge-equivalence": ("--L", "2"),
+            "full-suite": ("--L", "2", "--pairs", "2")}
+
+
+@pytest.mark.parametrize("command", sorted(SMALLEST))
+def test_config_lists_exactly_the_command_options(command):
+    assert set(SMALLEST) == set(main.commands)
+    report = json.loads(run(command, *SMALLEST[command]).output)
+    assert set(report["config"]) == _options(command) - {
+        "fmt", "out_path", "matrix_out", "matrix_format"}
+
+
+@pytest.mark.parametrize("args", [("verify-automorphism", "--circuit", "u1"),
+                                  ("verify-automorphism", "--circuit", "u2"),
+                                  ("verify-automorphism", "--circuit", "u-gauged"),
+                                  ("commutators",), ("full-suite",)])
+def test_L_past_the_bound_is_a_usage_error(monkeypatch, args):
+    from wignerlab import cli
+
+    def forbidden(*_):
+        raise AssertionError("circuit built")
+
+    for name in ("build_u1", "build_u2", "build_u_gauged"):
+        monkeypatch.setattr(cli, name, forbidden)
+    monkeypatch.setattr(cli, "_CIRCUITS", {
+        name: (forbidden, table) for name, (_, table) in cli._CIRCUITS.items()})
+    res = run(*args, "--L", str(cli.L_LIMIT + 1))
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "Usage:" in res.output and "--L" in res.output
 
 
 # -- report structure --------------------------------------------------------------
@@ -224,6 +274,18 @@ def test_spectrum_full_gauged_is_solved_by_gauss_sector(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_spectrum_checks_the_limit_before_it_builds(monkeypatch):
+    from wignerlab import cli
+
+    def forbidden(*_):
+        raise AssertionError("built past the eigensolve limit")
+
+    monkeypatch.setattr(cli, "eigensolve_hamiltonian", forbidden)
+    res = run("spectrum", "--model", "h-full-gauged", "--L", str(cli.L_LIMIT))
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit)
+    assert "exceeds the eigensolve limit" in res.output
+
+
 def test_spectrum_csv_format_lists_values():
     out = run("spectrum", "--model", "h1", "--L", "2", "--format", "csv").output
     rows = [line.split(",") for line in out.strip().splitlines()]
@@ -329,16 +391,16 @@ def test_text_report_names_the_reason():
 def test_cli_ends_in_exit_code_not_traceback(tmp_path, command, L, sign, fmt,
                                              pairs, seed, tol_scale, out,
                                              matrix_out, broken):
-    args = [command, "--L", str(L), "--sign", sign, "--format", fmt,
-            "--seed", str(seed), "--tol-scale", repr(tol_scale)]
-    if command in ("transition-check", "full-suite"):
-        args += ["--pairs", str(pairs)]
-    if command == "verify-automorphism":
-        args += ["--circuit", "u1"]
-    if command == "spectrum":
-        args += ["--model", "h-min-gauged"]
-        if matrix_out:
-            args += ["--matrix-out", str(tmp_path / matrix_out)]
+    # each command gets only the options it takes
+    takes = _options(command)
+    args = [command, "--L", str(L), "--format", fmt]
+    for name, value in (("sign", sign), ("seed", str(seed)), ("pairs", str(pairs)),
+                        ("tol_scale", repr(tol_scale)), ("circuit", "u1"),
+                        ("model", "h-min-gauged")):
+        if name in takes:
+            args += [f"--{name.replace('_', '-')}", value]
+    if matrix_out and "matrix_out" in takes:
+        args += ["--matrix-out", str(tmp_path / matrix_out)]
     if out:
         args += ["--out", str(tmp_path / out)]
     with _broken_solver() if broken else contextlib.nullcontext():
@@ -346,7 +408,7 @@ def test_cli_ends_in_exit_code_not_traceback(tmp_path, command, L, sign, fmt,
     assert res.exit_code in (0, 1, 2), res.output
     assert res.exception is None or isinstance(res.exception, SystemExit), \
         repr(res.exception)
-    if not (math.isfinite(tol_scale) and tol_scale > 0):
+    if "tol_scale" in takes and not (math.isfinite(tol_scale) and tol_scale > 0):
         assert res.exit_code == 2, res.output
-    if seed < 0:
+    if "seed" in takes and seed < 0:
         assert res.exit_code == 2, res.output

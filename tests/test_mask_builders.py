@@ -23,7 +23,6 @@ from wignerlab.clifford import (CliffordCircuit, ControlledX, ControlledZ,
                                 phi_gauged_table, rotation_factors)
 from wignerlab.dense import materialize
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
-                              dual_string_z, dual_variable_map,
                               emergent_boundary_z, gauss_law_operators)
 from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout, eta_string,
                              format_string, format_sum, link_layout,
@@ -172,14 +171,6 @@ def test_gauged_operators_equal_per_site_build(L):
         want = mul(mul(single(layout, "Z", f"{2 * j - 1}/2"), single(layout, "X", j)),
                    single(layout, "Z", link_label(j, L)))
         assert exact_terms(g) == exact_terms(PauliSum.from_string(want))
-    for j in range(1, L + 1):
-        want = single(layout, "Z", j)
-        for k in range(2, j + 1):
-            want = mul(single(layout, "X", f"{2 * k - 1}/2"), want)
-        assert dual_string_z(L, j) == want
-        assert dual_variable_map(L).entries[2 * j - 2:2 * j] == (
-            (single(layout, "Z", j), want),
-            (single(layout, "X", j), single(layout, "X", j)))
     want = PauliString.identity(layout)
     for j in range(1, L + 1):
         want = mul(want, single(layout, "X", f"{2 * j - 1}/2"))
@@ -319,7 +310,6 @@ def test_package_builds_without_the_per_site_path(monkeypatch):
         h = build_hamiltonian(ModelSpec(family, L))
         conjugate_sum(CliffordCircuit(h.layout, (Hadamard(1),)), h)
     gauss_law_operators(L)
-    dual_variable_map(L)
     emergent_boundary_z(L)
     symmetry_projector(1, ancilla_layout(L), on_ancilla=True)
     assert all(models.eta_conservation(L).values())

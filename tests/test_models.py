@@ -1,5 +1,5 @@
-"""Hamiltonian term lists, symmetry content, Gauss laws, and the dual-variable
-identities of the gauged chains."""
+"""Hamiltonian term lists, symmetry content, Gauss laws, and the eigensolve
+frame of every chain."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ import pytest
 from wignerlab.clifford import conjugate_circuit
 from wignerlab.dense import hermitian_eigensolve, materialize
 from wignerlab.models import (Family, ModelSpec, build_hamiltonian,
-                              dual_string_z, dual_variable_map,
                               eigensolve_frame, eigensolve_hamiltonian,
                               emergent_boundary_z, eta_conservation,
                               gauss_law_operators, projected_commutation_check)
@@ -170,59 +169,18 @@ def test_gauss_law_product_is_eta(L):
     assert prod == PauliSum.from_string(want)
 
 
-def test_dual_string_structure():
-    lay = link_layout(4)
-    s2 = dual_string_z(4, 2)
-    assert s2 == mul(PauliString.single(lay, "X", "3/2"),
-                     PauliString.single(lay, "Z", 2))
-    assert dual_string_z(4, 1) == PauliString.single(lay, "Z", 1)
-
-
-@pytest.mark.parametrize("L", [3, 4])
-def test_dual_bond_identity(L):
-    # sigma~z_j sigma~z_{j+1} = Z_j X_link Z_{j+1}: the dressed bond of the
-    # fully gauged chain in dual variables
-    lay = link_layout(L)
-    from wignerlab.models import _link_label
-    for j in range(1, L):
-        lhs = mul(dual_string_z(L, j), dual_string_z(L, j + 1))
-        rhs = mul(mul(PauliString.single(lay, "Z", j),
-                      PauliString.single(lay, "X", _link_label(j, L))),
-                  PauliString.single(lay, "Z", j + 1))
-        assert lhs == rhs
-
-
-@pytest.mark.parametrize("L", [3, 4])
-def test_dual_variables_satisfy_pauli_algebra(L):
-    # the dressed variables reproduce the on-site (anti)commutation relations
-    table = dict()
-    for src, dst in dual_variable_map(L).entries:
-        kind = "X" if src.x_mask else "Z"
-        site = (src.x_mask | src.z_mask).bit_length()  # matter site j is bit j - 1
-        table[(kind, site)] = dst
-    for j in range(1, L + 1):
-        zj, xj = table[("Z", j)], table[("X", j)]
-        one = PauliString.identity(zj.layout)
-        assert mul(zj, zj) == one and mul(xj, xj) == one
-        assert not commutes(zj, xj)
-        for k in range(1, L + 1):
-            if k != j:
-                assert commutes(zj, table[("X", k)])
-                assert commutes(zj, table[("Z", k)])
-
-
 @pytest.mark.parametrize("L", [2, 3, 4])
 def test_gauge_invariant_combinations_commute_with_gauss_laws(L):
-    # single dressed Z's are charged under the site constraint, but the dual
-    # X's and the dressed bond bilinears are gauge invariant
+    # the matter X's and the dressed bonds Z_j X_link Z_{j+1}, every term of
+    # the fully gauged chain, are gauge invariant
     gauss = [next(iter(g))[1] for g in gauss_law_operators(L)]
     for j in range(1, L + 1):
-        xj = dict(dual_variable_map(L).entries)[
-            PauliString.single(link_layout(L), "X", j)]
+        xj = PauliString.single(link_layout(L), "X", j)
         assert all(commutes(xj, g) for g in gauss)
-    for j in range(1, L):
-        bond = mul(dual_string_z(L, j), dual_string_z(L, j + 1))
-        assert all(commutes(bond, g) for g in gauss)
+    h = build_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, L))
+    assert len(h) == 2 * L
+    for _, term in h:
+        assert all(commutes(term, g) for g in gauss)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -234,14 +192,6 @@ def test_emergent_boundary_z(L):
     assert sum_commutator(h, PauliSum.from_string(s)).is_zero()
     for g in gauss_law_operators(L):
         assert sum_commutator(g, PauliSum.from_string(s)).is_zero()
-    # boundary dual bond picks up exactly this string
-    lhs = mul(dual_string_z(L, L), dual_string_z(L, 1))
-    from wignerlab.models import _link_label
-    lay = link_layout(L)
-    rhs = mul(mul(PauliString.single(lay, "Z", L),
-                  PauliString.single(lay, "X", _link_label(L, L))),
-              PauliString.single(lay, "Z", 1))
-    assert lhs == mul(rhs, s) or lhs == mul(s, rhs)
 
 
 # -- the eigensolve frame -------------------------------------------------------

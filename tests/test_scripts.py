@@ -1,12 +1,15 @@
 """The two command-line scripts: a good run exits 0, bad arguments exit 2
 with a usage line and no traceback."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from wignerlab.cli import L_LIMIT
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,6 +37,7 @@ def test_script_runs_at_L2(name):
     ("spectrum_scan.py", ["3", "2"]),
     ("spectrum_scan.py", ["2", "2", "-1"]),
     ("spectrum_scan.py", ["2", "2", "0"]),
+    ("run_full_suite.py", ["2", str(L_LIMIT + 1)]),
 ])
 def test_bad_arguments_exit_two(name, args):
     res = run_script(name, *args)
@@ -41,3 +45,19 @@ def test_bad_arguments_exit_two(name, args):
     assert "usage:" in res.stderr
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+def test_spectrum_scan_skips_before_it_builds(monkeypatch, capsys):
+    # every family past the eigensolve limit is skipped on its site count
+    spec = importlib.util.spec_from_file_location(
+        "spectrum_scan", ROOT / "scripts" / "spectrum_scan.py")
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+
+    def forbidden(*_):
+        raise AssertionError("built past the eigensolve limit")
+
+    monkeypatch.setattr(scan, "eigensolve_hamiltonian", forbidden)
+    monkeypatch.setattr(scan, "materialize", forbidden)
+    assert scan.main(["11", "300", "1"]) == 0
+    assert capsys.readouterr().out == ""
