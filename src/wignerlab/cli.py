@@ -24,11 +24,12 @@ from .clifford import (build_u1, build_u2, build_u_gauged, conjugate_sum,
                        phi1_table, phi2_table, phi_gauged_table,
                        verify_automorphism)
 from .dense import (DENSE_SITE_LIMIT, TAU_EIG_PER_DIM, ConvergenceError,
-                    DenseOperator, DimensionCapError, StateVector, check_limit,
+                    DenseOperator, DimensionCapError, check_limit,
                     hermitian_eigensolve, materialize, over_limit,
-                    transition_experiment, write_dense_binary, write_dense_csv)
+                    transition_probabilities, write_dense_binary,
+                    write_dense_csv)
 from .gauge import (SectorEmbedding, ancilla_sector_embedding, build_d_hat,
-                    build_d_noninvertible, embed_state, gauss_sector_projector,
+                    build_d_noninvertible, gauss_sector_projector,
                     sector_blocks, spectral_equivalence_check)
 from .models import (BOUNDARY_FAMILY, Family, ModelSpec, build_hamiltonian,
                      eigensolve_hamiltonian, eta_conservation,
@@ -140,17 +141,19 @@ def commutator_checks(L: int, tol_scale: float = 1.0,
 
 
 def _seeded_pairs(dim: int, seed: int, stream: int,
-                  count: int) -> list[tuple[StateVector, StateVector]]:
-    """``count`` state pairs from one generator seeded by ``(seed, stream)``:
-    stream 0 for the matter pairs, 1 for the embedded pairs.  State ``j`` of
-    pair ``k`` is row ``2k + j`` of one ``normal`` draw of ``2 * dim``
-    floats per row, read as ``dim`` interleaved re/im parts and normalized
-    in place, so state k is the same for any count past k."""
+                  count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` state pairs from one generator seeded by ``(seed, stream)``,
+    as the ``(dim, count)`` column blocks ``alpha`` and ``beta``: stream 0
+    for the matter pairs, 1 for the embedded pairs.  State ``j`` of pair
+    ``k`` is row ``2k + j`` of one ``normal`` draw of ``2 * dim`` floats per
+    row, read as ``dim`` interleaved re/im parts and normalized in place, so
+    pair k is the same for any count past k.  Both blocks are views of that
+    draw."""
     rng = np.random.default_rng((seed, stream))
     flat = rng.normal(size=(2 * count, 2 * dim))
     flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
-    states = [StateVector(row) for row in flat.view(complex)]
-    return list(zip(states[::2], states[1::2]))
+    states = flat.view(complex)
+    return states[::2].T, states[1::2].T
 
 
 def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
@@ -161,18 +164,17 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
         return [_skip("transition checks", why)]
     out = []
     d = build_d_noninvertible(L, sign)
-    basis0 = StateVector(np.eye(1, 1 << L)[0])
-    rep = transition_experiment(d, [(basis0, basis0)])
-    measured = rep["pairs"][0]["p_transformed"]
+    basis0 = np.eye(1 << L, 1)
+    (measured,), (reference,) = transition_probabilities(d, basis0, basis0)
     out.append(_check("counterexample |<0..0|P|0..0>|^2 = 0.25",
-                      abs(measured - 0.25), 1e-12 * tol_scale))
+                      abs(float(measured) - 0.25), 1e-12 * tol_scale))
     out.append(_check("counterexample reference = 1",
-                      abs(rep["pairs"][0]["p_reference"] - 1.0), 1e-12))
-    rows = transition_experiment(d, _seeded_pairs(1 << L, seed, 0, pairs))["pairs"]
+                      abs(float(reference) - 1.0), 1e-12))
+    p_t, p_ref = transition_probabilities(d, *_seeded_pairs(1 << L, seed, 0, pairs))
     # relative L1 deviation: the largest single deviation falls like 1/dim
     out.append(_check("D on matter space violates probabilities",
-                      sum(r["deviation"] for r in rows)
-                      / sum(r["p_reference"] for r in rows), 0.05, above=True))
+                      float(np.abs(p_t - p_ref).sum() / p_ref.sum()), 0.05,
+                      above=True))
 
     emb = ancilla_sector_embedding(L, sign)
     if nontrivial_projector:
@@ -182,12 +184,12 @@ def transition_checks(L: int, sign: int, seed: int, pairs: int = 100,
     else:
         d_hat = build_d_hat(L, sign)
     d_hat_anti = DenseOperator(d_hat.matrix, antilinear=True)
-    epairs = [(embed_state(a, emb), embed_state(b, emb))
-              for a, b in _seeded_pairs(1 << L, seed, 1, pairs)]
+    alpha, beta = np.zeros((2, emb.target_dim, pairs), dtype=complex)
+    alpha[emb.rows], beta[emb.rows] = _seeded_pairs(1 << L, seed, 1, pairs)
     for op, kind in ((d_hat, "linear"), (d_hat_anti, "antilinear")):
-        rep = transition_experiment(op, epairs)
+        p_t, p_ref = transition_probabilities(op, alpha, beta)
         out.append(_check(f"D_hat preserves embedded probabilities ({kind})",
-                          rep["max_deviation"], 1e-11 * tol_scale))
+                          float(np.abs(p_t - p_ref).max()), 1e-11 * tol_scale))
     return out
 
 

@@ -14,10 +14,11 @@ The Hermitian eigensolver splits matrices into the connected components of
 their exact nonzero patterns, so a matrix in a basis that diagonalizes its
 symmetries is solved sector by sector, and solves each size class of
 components as one zero-padded stack by round-robin Jacobi, each round
-rotating disjoint pairs in every block at once.  An ``antilinear`` operator
-acts as ``M . K`` (conjugation first).  The binary dump writes and reads the
-matrix's own bytes, without a copy; the CSV dump converts all its floats in
-one pass.
+rotating disjoint pairs in every block at once; the SVD's one-sided Jacobi
+(``polar``) rotates column groups in the same stacks with the same rounds.
+An ``antilinear`` operator acts as ``M . K`` (conjugation first).  The
+binary dump writes and reads the matrix's own bytes, without a copy; the CSV
+dump converts all its floats in one pass.
 """
 
 from __future__ import annotations
@@ -276,6 +277,23 @@ def _offdiag_norms(a: np.ndarray) -> np.ndarray:
     return np.linalg.norm(off, axis=(1, 2))
 
 
+def _angles(c: np.ndarray, dp: np.ndarray, dq: np.ndarray, thresh: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(ct, s, skip)`` for every Hermitian 2x2 ``[[dp, c], [conj(c), dq]]``
+    at once: ``R^H = [[ct, s], [-conj(s), ct]]`` makes ``R^H [..] R``
+    diagonal by the minimal angle, or is the identity where
+    ``skip = |c| <= thresh``."""
+    ac = np.abs(c)
+    skip = ac <= thresh
+    ac[skip] = 1.0
+    # tan(2θ) = 2|c| / (dp - dq), |θ| <= π/4; the phase is c / |c|
+    tau = (dp - dq) / (2.0 * ac)
+    t = 1.0 / (tau + np.copysign(np.hypot(tau, 1.0), tau))
+    t[skip] = 0.0
+    ct = 1.0 / np.hypot(1.0, t)
+    return ct, (t * ct) * (c / ac), skip
+
+
 def _rotate_rows(m: np.ndarray, pq: np.ndarray, ct: np.ndarray,
                  s: np.ndarray, scratch: np.ndarray) -> None:
     """``[m_p; m_q] <- [[ct, s], [-conj(s), ct]] [m_p; m_q]`` in place for
@@ -312,17 +330,8 @@ def _rotate(av: np.ndarray, out: np.ndarray, pq: np.ndarray,
     h = len(pq) // 2
     p, q = pq[:h], pq[h:]
     a = av[:, :n]
-    c = a[:, p, q]
-    ac = np.abs(c)
-    skip = ac <= thresh
-    ac[skip] = 1.0
     d = a[:, pq, pq].real
-    # tan(2θ) = 2|c| / (a_pp - a_qq), |θ| <= π/4; the phase is c / |c|
-    tau = (d[:, :h] - d[:, h:]) / (2.0 * ac)
-    t = 1.0 / (tau + np.copysign(np.hypot(tau, 1.0), tau))
-    t[skip] = 0.0
-    ct = 1.0 / np.hypot(1.0, t)
-    s = (t * ct) * (c / ac)
+    ct, s, skip = _angles(a[:, p, q], d[:, :h], d[:, h:], thresh)
     ct = np.concatenate([ct] * 4, axis=1)[..., None]
     s = np.concatenate([s, s], axis=1)[..., None]
     _rotate_rows(av, both, ct, s, scratch)
@@ -331,6 +340,19 @@ def _rotate(av: np.ndarray, out: np.ndarray, pq: np.ndarray,
     out[:, pq, qp] *= np.concatenate([skip, skip], axis=1)
     out.reshape(-1, n * n)[:, ::n + 1].imag = 0.0
     a[...] = out
+
+
+def _live(off: np.ndarray, target: np.ndarray, sweeps: np.ndarray,
+          sweep_cap: int, n: int) -> np.ndarray:
+    """The blocks of size ``n`` whose off-diagonal norm is above their
+    target; raises when some still are after ``sweep_cap`` sweeps."""
+    live = np.flatnonzero(off > target)
+    if len(live) and sweeps.max() >= sweep_cap:
+        raise ConvergenceError(
+            f"no convergence after {sweep_cap} sweeps: {len(live)} of "
+            f"{len(off)} blocks of size {n} missed the target; worst "
+            f"off-diagonal norm {off[live].max():.3e}")
+    return live
 
 
 def _jacobi(stack: np.ndarray, sweep_cap: int
@@ -355,16 +377,8 @@ def _jacobi(stack: np.ndarray, sweep_cap: int
     rounds = [(np.concatenate([p, q]), np.concatenate([p, n + p, q, n + q]),
                np.concatenate([q, p])) for p, q in zip(*_rounds(n))]
     sweeps = np.zeros(k, dtype=int)
-    while True:
-        off = _offdiag_norms(av[:, :n])
-        live = np.flatnonzero(off > target)
-        if not len(live):
-            break
-        if sweeps.max() >= sweep_cap:
-            raise ConvergenceError(
-                f"no convergence after {sweep_cap} sweeps: {len(live)} of "
-                f"{k} blocks of size {n} missed the target; worst "
-                f"off-diagonal norm {off[live].max():.3e}")
+    while len(live := _live(_offdiag_norms(av[:, :n]), target, sweeps,
+                            sweep_cap, n)):
         work = av if len(live) == k else av[live]
         out = np.empty((len(live), n, n), dtype=complex)
         scratch = np.empty(2 * len(live) * (n // 2 * 4) * n, dtype=complex)
@@ -376,6 +390,51 @@ def _jacobi(stack: np.ndarray, sweep_cap: int
         sweeps[live] += 1
     return (av[:, np.arange(n), np.arange(n)].real,
             av[:, n:].conj().transpose(0, 2, 1), sweeps)
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """``g[p, q] = <x_p, x_q>`` over the last axis, for every block."""
+    return x.conj() @ x.transpose(0, 2, 1)
+
+
+def _one_sided_jacobi(stack: np.ndarray, rows: int, sweep_cap: int) -> None:
+    """Round-robin one-sided (Hestenes) Jacobi in place on a ``(k, n, rows +
+    n)`` stack: row ``p`` of a block is column ``p`` of its matrix ``A``
+    (``rows`` entries) followed by column ``p`` of ``V``.
+
+    Each rotation is the one ``_jacobi`` takes on the pair's 2x2 block of
+    ``A^H A``, applied to the columns of ``A`` and ``V``, so the two columns
+    come out orthogonal; ``A V`` keeps the singular values and ``V`` stays
+    unitary.  A block's target is 1e-13 of its Gram matrix's norm, on that
+    matrix's off-diagonal norm, and a block that meets it gets no more
+    rotations.  A zero column (a pad) is orthogonal to every column, so
+    every rotation touching it is skipped, an exact identity.
+    """
+    k, n, _ = stack.shape
+    g = _gram(stack[:, :, :rows])
+    off = _offdiag_norms(g)
+    scale = np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
+    target = 1e-13 * scale
+    rounds = [np.concatenate([p, q]) for p, q in zip(*_rounds(n))]
+    sweeps = np.zeros(k, dtype=int)
+    while len(live := _live(off, target, sweeps, sweep_cap, n)):
+        work = stack if len(live) == k else stack[live]
+        scratch = np.empty(2 * len(live) * (n // 2 * 2) * stack.shape[2],
+                           dtype=complex)
+        thresh = 1e-16 * scale[live, None]
+        for pq in rounds:
+            h = len(pq) // 2
+            x = work[:, pq, :rows]
+            d = np.vecdot(x, x).real
+            ct, s, _ = _angles(np.vecdot(x[:, :h], x[:, h:]), d[:, :h],
+                               d[:, h:], thresh)
+            # A <- A R is R^T on the rows: _rotate_rows with conj(s)
+            _rotate_rows(work, pq, np.concatenate([ct, ct], axis=1)[..., None],
+                         s.conj()[..., None], scratch)
+        if work is not stack:
+            stack[live] = work
+        off[live] = _offdiag_norms(_gram(work[:, :, :rows]))
+        sweeps[live] += 1
 
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -390,15 +449,27 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return [np.flatnonzero(label == root) for root in np.unique(label)]
 
 
+def _size_classes(blocks: list[tuple[int, np.ndarray]]
+                  ) -> list[tuple[int, list[tuple[int, np.ndarray]]]]:
+    """Blocks ``(operator, indices)`` grouped into one stack per size class
+    ``(n - 1).bit_length()``, each with the size its blocks are zero-padded
+    to: the largest in the class (at most doubled; a class of one size is
+    not padded)."""
+    classes: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for i, idx in blocks:
+        classes.setdefault((len(idx) - 1).bit_length(), []).append((i, idx))
+    return [(max(len(idx) for _, idx in members), members)
+            for members in classes.values()]
+
+
 def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
                              sweep_cap: int = JACOBI_SWEEP_CAP
                              ) -> list[SpectrumResult]:
     """Diagonalize Hermitian operators by round-robin Jacobi on the connected
     components of their symmetrized nonzero patterns, one stack per size
-    class ``(n - 1).bit_length()``, each block zero-padded to the largest in
-    its class (at most doubled; a class of one size is not padded).  A pad
-    couples to nothing, so every rotation touching it is skipped, an exact
-    identity, and a block's eigenpairs are its first ``n`` positions.
+    class of ``_size_classes``.  A pad couples to nothing, so every rotation
+    touching it is skipped, an exact identity, and a block's eigenpairs are
+    its first ``n`` positions.
 
     Eigenvalues ascend with their eigenvector columns; the residual is the
     largest ``|A v - lambda v|`` over the operator's eigenpairs, each taken
@@ -416,14 +487,10 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
         nonzero = op.matrix != 0
         mats.append(op.matrix)
         blocks.append(_blocks(nonzero | nonzero.T))
-    classes: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, comps in enumerate(blocks):
-        for idx in comps:
-            classes.setdefault((len(idx) - 1).bit_length(), []).append((i, idx))
     vals, vecs = [np.zeros(len(a)) for a in mats], [np.zeros_like(a) for a in mats]
     sweeps, residuals = [0] * len(mats), [0.0] * len(mats)
-    for members in classes.values():
-        m = max(len(idx) for _, idx in members)
+    for m, members in _size_classes([(i, idx) for i, comps in enumerate(blocks)
+                                     for idx in comps]):
         stack = np.zeros((len(members), m, m), dtype=complex)
         for block, (i, idx) in zip(stack, members):
             block[:len(idx), :len(idx)] = mats[i][np.ix_(idx, idx)]
@@ -464,27 +531,33 @@ def random_state(dim: int, seed: int | Sequence[int]) -> StateVector:
     return StateVector(v / np.linalg.norm(v))
 
 
-def transition_experiment(d: DenseOperator,
-                          pairs: list[tuple[StateVector, StateVector]]) -> dict:
-    """Transformed vs reference transition probabilities per state pair.
-
-    The reference for a linear operator is |<beta|alpha>|^2; for an
-    antilinear one it is |<alpha|beta>|^2 (equal in modulus).  ``d`` acts on
-    every alpha in one product and on every beta in another, and the
-    overlaps are taken column by column.
-    """
-    if any(a.dim != d.dim or b.dim != d.dim for a, b in pairs):
-        raise ValueError("state/operator dimension mismatch")
-    if not pairs:
-        return {"pairs": [], "max_deviation": 0.0}
-    alpha = np.stack([a.amplitudes for a, _ in pairs], axis=1)
-    beta = np.stack([b.amplitudes for _, b in pairs], axis=1)
+def transition_probabilities(d: DenseOperator, alpha: np.ndarray,
+                             beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(p_t, p_ref)`` for the state pairs in the columns of ``alpha`` and
+    ``beta``: ``p_t = |<d beta|d alpha>|^2``, and the reference is
+    ``|<beta|alpha>|^2`` for a linear operator, ``|<alpha|beta>|^2`` (equal
+    in modulus) for an antilinear one.  ``d`` acts on every alpha in one
+    product and on every beta in another."""
     ta, tb = d.apply(alpha), d.apply(beta)
     p_t = np.abs(np.einsum("ij,ij->j", tb.conj(), ta)) ** 2
     if d.antilinear:
         p_ref = np.abs(np.einsum("ij,ij->j", alpha.conj(), beta)) ** 2
     else:
         p_ref = np.abs(np.einsum("ij,ij->j", beta.conj(), alpha)) ** 2
+    return p_t, p_ref
+
+
+def transition_experiment(d: DenseOperator,
+                          pairs: list[tuple[StateVector, StateVector]]) -> dict:
+    """Transformed vs reference transition probabilities per state pair, by
+    ``transition_probabilities`` on the pairs stacked as columns."""
+    if any(a.dim != d.dim or b.dim != d.dim for a, b in pairs):
+        raise ValueError("state/operator dimension mismatch")
+    if not pairs:
+        return {"pairs": [], "max_deviation": 0.0}
+    p_t, p_ref = transition_probabilities(
+        d, np.stack([a.amplitudes for a, _ in pairs], axis=1),
+        np.stack([b.amplitudes for _, b in pairs], axis=1))
     rows = [{"p_transformed": float(t), "p_reference": float(r),
              "deviation": float(abs(t - r))} for t, r in zip(p_t, p_ref)]
     return {"pairs": rows, "max_deviation": max(r["deviation"] for r in rows)}

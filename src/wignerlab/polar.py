@@ -1,7 +1,8 @@
-"""Singular value and polar decomposition built on the Jacobi eigensolver,
-plus the block-structure and commutation checks for candidate non-invertible
-symmetry operators.  Many matrices are decomposed at once, their Gram
-matrices solved together in the eigensolver's size-class stacks."""
+"""Singular value and polar decomposition by one-sided Jacobi, plus the
+block-structure and commutation checks for candidate non-invertible
+symmetry operators.  Each matrix's columns are split into the groups its
+Gram matrix couples beyond rounding, and the groups of every matrix
+decomposed at once are rotated together in size-class stacks."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseOperator, hermitian_eigensolve_all
+from .dense import (JACOBI_SWEEP_CAP, DenseOperator, _blocks,
+                    _one_sided_jacobi, _size_classes)
 from .gauge import SectorEmbedding
 
 TAU_RANK_REL = 1e-10
@@ -57,21 +59,47 @@ def _complete_kernel(w: np.ndarray, n_range: int) -> np.ndarray:
     return out
 
 
-def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
-    """SVD of square matrices via the eigenbasis of each A†A, all Gram
-    matrices in one ``hermitian_eigensolve_all`` call.  Range columns of W
-    are A v_i / sigma_i, kernel columns are completed deterministically."""
+def _column_groups(a: np.ndarray) -> list[np.ndarray]:
+    """Connected groups of the columns of ``a`` (``dense._blocks`` order):
+    columns ``i`` and ``j`` of an ``n``-row matrix are coupled when
+    ``|<a_i, a_j>| > n eps |a_i| |a_j|``.  Below that bound a computed inner
+    product is rounding, and one-sided Jacobi counts the pair as
+    orthogonal; the bound scales with each column's own norm."""
+    g = a.conj().T @ a
+    norms = np.sqrt(g.diagonal().real)
+    return _blocks(np.abs(g) > len(a) * np.finfo(float).eps * np.outer(norms, norms))
+
+
+def _svd_all(mats: list[np.ndarray], sweep_cap: int = JACOBI_SWEEP_CAP
+             ) -> list[SVDResult]:
+    """SVD of square matrices by one-sided Jacobi on their columns (Hestenes;
+    Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
+
+    Each of ``_column_groups`` is rotated on its own, and the groups of all
+    matrices share one stack per size class (``dense._size_classes``).
+    ``sigma_i = |A v_i|``, descending; range columns of W are
+    ``A v_i / sigma_i``, kernel columns are completed deterministically.
+    ``sweep_cap`` applies to each group.
+    """
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in mats):
         raise ValueError("svd requires a square matrix")
-    grams = [a.conj().T @ a for a in mats]
+    groups = [(i, idx) for i, a in enumerate(mats) for idx in _column_groups(a)]
+    avs, vs = [np.zeros_like(a) for a in mats], [np.zeros_like(a) for a in mats]
+    for m, members in _size_classes(groups):
+        rows = max(len(mats[i]) for i, _ in members)
+        stack = np.zeros((len(members), m, rows + m), dtype=complex)
+        stack[:, np.arange(m), rows + np.arange(m)] = 1.0
+        for block, (i, idx) in zip(stack, members):
+            block[:len(idx), :len(mats[i])] = mats[i][:, idx].T
+        _one_sided_jacobi(stack, rows, sweep_cap)
+        for block, (i, idx) in zip(stack, members):
+            avs[i][:, idx] = block[:len(idx), :len(mats[i])].T
+            vs[i][np.ix_(idx, idx)] = block[:len(idx), rows:rows + len(idx)].T
     out = []
-    for a, spec in zip(mats, hermitian_eigensolve_all(grams)):
-        # recompute sigma_i = |A v_i| directly: the squared (Gram) eigenvalues
-        # carry an eps * sigma_max**2 noise floor that would inflate the rank
-        av = a @ spec.eigenvectors
+    for a, av, v in zip(mats, avs, vs):
         sigma_all = np.linalg.norm(av, axis=0)
         order = np.argsort(sigma_all, kind="stable")[::-1]
-        sigma, v, av = sigma_all[order], spec.eigenvectors[:, order], av[:, order]
+        sigma, v, av = sigma_all[order], v[:, order], av[:, order]
         rank = int(np.sum(sigma > TAU_RANK_REL * sigma.max(initial=0.0)))
         w = np.zeros_like(a)
         w[:, :rank] = av[:, :rank] / sigma[:rank]
@@ -80,7 +108,8 @@ def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
 
 
 def svd(a: DenseOperator | np.ndarray) -> SVDResult:
-    """SVD of one square linear operator (``_svd_all`` on a list of one)."""
+    """SVD of one square linear operator by one-sided Jacobi (``_svd_all``
+    on a list of one)."""
     if isinstance(a, DenseOperator):
         if a.antilinear:
             raise ValueError("svd expects the linear matrix part")

@@ -294,10 +294,14 @@ def test_spectrum_csv_format_lists_values():
 
 # -- seeded state pairs ---------------------------------------------------------
 
+def _columns(block):
+    return [block[:, k].tobytes() for k in range(block.shape[1])]
+
+
 def test_seeded_pairs_do_not_collide():
     def states(seed, stream):
-        return {s.amplitudes.tobytes()
-                for pair in _seeded_pairs(8, seed, stream, 100) for s in pair}
+        alpha, beta = _seeded_pairs(8, seed, stream, 100)
+        return set(_columns(alpha) + _columns(beta))
 
     matter = states(0, 0)
     assert len(matter) == 200
@@ -307,11 +311,10 @@ def test_seeded_pairs_do_not_collide():
 
 def test_seeded_pairs_are_prefix_stable():
     long, short = _seeded_pairs(8, 3, 1, 100), _seeded_pairs(8, 3, 1, 10)
-    assert len(long) == 100 and len(short) == 10
-    for a, b in zip(long, short):
-        for x, y in zip(a, b):
-            assert x.amplitudes.tobytes() == y.amplitudes.tobytes()
-            assert abs(x.norm - 1.0) < 1e-14
+    for x, y in zip(long, short):
+        assert x.shape == (8, 100) and y.shape == (8, 10)
+        assert _columns(x)[:10] == _columns(y)
+        assert np.max(np.abs(np.linalg.norm(x, axis=0) - 1.0)) < 1e-14
 
 
 def test_seeded_pairs_peak_at_their_own_bytes():
@@ -319,11 +322,11 @@ def test_seeded_pairs_peak_at_their_own_bytes():
     dim, count = 2048, 4096
     tracemalloc.start()
     try:
-        pairs = _seeded_pairs(dim, 0, 0, count)
+        alpha, beta = _seeded_pairs(dim, 0, 0, count)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pairs) == count and pairs[-1][1].dim == dim
+    assert alpha.shape == beta.shape == (dim, count)
     assert peak <= 1.25 * 2 * count * dim * 16
 
 

@@ -1,19 +1,21 @@
-"""SVD and polar decomposition built on the in-package eigensolver, checked
-against LAPACK oracles, plus the structure theorem for candidate symmetry
-operators of the form (anti)unitary times projector."""
+"""SVD and polar decomposition by one-sided Jacobi, checked against LAPACK
+oracles, plus the structure theorem for candidate symmetry operators of the
+form (anti)unitary times projector."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab.dense import DenseOperator, materialize, random_state
+from wignerlab.dense import (JACOBI_SWEEP_CAP, ConvergenceError, DenseOperator,
+                             materialize, random_state)
 from wignerlab.gauge import (SectorEmbedding, ancilla_sector_embedding,
                              build_d_hat, build_d_noninvertible)
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
-from wignerlab.pauli import PauliString, PauliSum, ancilla_layout
-from wignerlab.polar import (corollary_check, polar_decompose, svd,
-                             verify_theorem_structure)
+from wignerlab.pauli import (PauliString, PauliSum, ancilla_layout,
+                             matter_layout, symmetry_projector)
+from wignerlab.polar import (_column_groups, _svd_all, corollary_check,
+                             polar_decompose, svd, verify_theorem_structure)
 from wignerlab.polar import polar_decompose_all
 
 
@@ -51,6 +53,77 @@ def test_svd_matches_lapack_singular_values():
 def test_svd_rejects_non_square():
     with pytest.raises(ValueError):
         svd(np.zeros((2, 3)))
+
+
+def _sigma_matches_lapack(op):
+    m = op.matrix if isinstance(op, DenseOperator) else op
+    want = np.linalg.svd(m, compute_uv=False)
+    got = polar_decompose(op).sigma
+    return np.max(np.abs(got - want)) <= 1e-12 * max(want[0], 1.0)
+
+
+def test_svd_matches_lapack_on_rank_deficient_zero_and_antilinear_input():
+    rng = np.random.default_rng(31)
+    for n in (2, 5, 12, 16, 33):
+        for rank in (1, n // 2, n - 1):
+            assert _sigma_matches_lapack(random_matrix(rng, n, rank))
+        assert _sigma_matches_lapack(DenseOperator(random_matrix(rng, n),
+                                                   antilinear=True))
+        zero = polar_decompose(np.zeros((n, n), dtype=complex))
+        assert not zero.sigma.any() and zero.rank == 0
+        u = zero.unitary_part.matrix
+        assert np.array_equal(u.conj().T @ u, np.eye(n))
+    # a zero column and a duplicated column
+    m = random_matrix(rng, 6)
+    m[:, 2] = 0
+    m[:, 4] = 1j * m[:, 1]
+    assert _sigma_matches_lapack(m) and svd(m).rank == 4
+
+
+@pytest.mark.parametrize("L", range(3, 10))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_column_groups_of_d_are_eta_pairs_and_of_d_hat_singletons(L, sign):
+    # D± couples column c only to c ^ (2^L - 1), its image under eta;
+    # D̂±'s columns are orthogonal or zero, each a group of its own
+    full = (1 << L) - 1
+    groups = _column_groups(build_d_noninvertible(L, sign).matrix)
+    assert [g.tolist() for g in groups] == [[c, c ^ full] for c in range(1 << (L - 1))]
+    groups = _column_groups(build_d_hat(L, sign).matrix)
+    assert [g.tolist() for g in groups] == [[c] for c in range(2 << L)]
+
+
+def test_column_groups_do_not_depend_on_scale():
+    rng = np.random.default_rng(17)
+    a, b = random_matrix(rng, 5), random_matrix(rng, 4)
+    m = np.zeros((9, 9), dtype=complex)
+    m[:5, :5], m[5:, 5:] = 1e6 * a, 1e-6 * b
+    assert [g.tolist() for g in _column_groups(m)] == [list(range(5)), list(range(5, 9))]
+    sigma = svd(m).sigma
+    want = np.linalg.svd(b, compute_uv=False)
+    assert np.max(np.abs(sigma[5:] / 1e-6 - want) / want) < 1e-12
+    want = np.linalg.svd(a, compute_uv=False)
+    assert np.max(np.abs(sigma[:5] / 1e6 - want) / want) < 1e-12
+
+
+def test_svd_raises_past_the_sweep_cap():
+    m = random_matrix(np.random.default_rng(3), 5)
+    with pytest.raises(ConvergenceError, match=r"^no convergence after 0 sweeps: "
+                       r"1 of 1 blocks of size 5 missed the target; worst "
+                       r"off-diagonal norm \d\.\d{3}e[+-]\d+$"):
+        _svd_all([m], sweep_cap=0)
+    assert _svd_all([m], sweep_cap=JACOBI_SWEEP_CAP)[0].rank == 5
+
+
+@pytest.mark.parametrize("L", range(2, 8))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_psd_factor_is_the_projector_of_the_right_factor(L, sign):
+    # D = U P with U unitary and P a projector: D†D = P, so P_hat = P
+    for d, p in ((build_d_noninvertible(L, sign),
+                  symmetry_projector(sign, matter_layout(L))),
+                 (build_d_hat(L, sign),
+                  symmetry_projector(sign, ancilla_layout(L), on_ancilla=True))):
+        want = materialize(p).matrix
+        assert np.max(np.abs(polar_decompose(d).psd_part.matrix - want)) < 1e-12
 
 
 def _loop_complete_kernel(w, n_range):
@@ -153,20 +226,22 @@ def test_batched_polar_matches_one_at_a_time():
 
 
 def test_polar_checks_stack_random_matrices_by_size_class(monkeypatch):
-    from wignerlab import cli, dense, polar
+    from wignerlab import cli, polar
     batches = []
     batch = polar.polar_decompose_all
     counted = lambda ops: batches.append((len(ops), [])) or batch(ops)
     # cli imports the batch by name; polar's own calls open batches too
     monkeypatch.setattr(cli, "polar_decompose_all", counted)
     monkeypatch.setattr(polar, "polar_decompose_all", counted)
-    jacobi = dense._jacobi
-    monkeypatch.setattr(dense, "_jacobi", lambda stack, cap: batches[-1][1]
-                        .append(stack.shape) or jacobi(stack, cap))
+    kernel = polar._one_sided_jacobi
+    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, rows, cap:
+                        batches[-1][1].append(stack.shape)
+                        or kernel(stack, rows, cap))
     checks = cli.polar_checks(3, 1, 0)
     assert checks[0]["name"] == "polar reconstruction on random matrices"
     assert checks[0]["status"] == "pass"
     count, shapes = batches[0]
+    # a random matrix's columns form one group
     assert count == 20 and sum(k for k, _, _ in shapes) == 20
     classes = [(n - 1).bit_length() for _, n, _ in shapes]
     assert len(classes) == len(set(classes)) <= 4
