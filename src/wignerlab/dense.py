@@ -245,7 +245,8 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver (round-robin Jacobi on stacks of equal-size blocks)
+# Hermitian eigensolver and one-sided SVD kernel (round-robin Jacobi on
+# stacks of equal-size blocks)
 # ---------------------------------------------------------------------------
 
 def _rounds(n: int) -> tuple[np.ndarray, np.ndarray]:
