@@ -340,7 +340,9 @@ def _emit(command: str, config: dict, checks: list[dict],
     if out_path:
         _write(out_path, lambda p: Path(p).write_text(text))
     else:
-        click.echo(text, nl=False)
+        # the stream in use now: click's default stdout lookup caches each
+        # stream it sees, and so would keep every redirected buffer alive
+        click.echo(text, nl=False, file=sys.stdout)
     return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 

@@ -18,7 +18,7 @@ rotating disjoint pairs in every block at once; the SVD's one-sided Jacobi
 (``polar``) rotates column groups in the same stacks with the same rounds.
 An ``antilinear`` operator acts as ``M . K`` (conjugation first).  The
 binary dump writes and reads the matrix's own bytes, without a copy; the CSV
-dump converts all its floats in one pass.
+dump formats and writes one row at a time by one template.
 """
 
 from __future__ import annotations
@@ -344,20 +344,20 @@ def _rotate(av: np.ndarray, out: np.ndarray, pq: np.ndarray,
 
 
 def _live(off: np.ndarray, target: np.ndarray, sweeps: np.ndarray,
-          sweep_cap: int, n: int) -> np.ndarray:
+          n: int) -> np.ndarray:
     """The blocks of size ``n`` whose off-diagonal norm is above their
-    target; raises when some still are after ``sweep_cap`` sweeps."""
+    target; raises when some still are after ``JACOBI_SWEEP_CAP`` sweeps,
+    read at call time."""
     live = np.flatnonzero(off > target)
-    if len(live) and sweeps.max() >= sweep_cap:
+    if len(live) and sweeps.max() >= JACOBI_SWEEP_CAP:
         raise ConvergenceError(
-            f"no convergence after {sweep_cap} sweeps: {len(live)} of "
+            f"no convergence after {JACOBI_SWEEP_CAP} sweeps: {len(live)} of "
             f"{len(off)} blocks of size {n} missed the target; worst "
             f"off-diagonal norm {off[live].max():.3e}")
     return live
 
 
-def _jacobi(stack: np.ndarray, sweep_cap: int
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Round-robin Jacobi on a ``(k, n, n)`` stack of Hermitian blocks:
     eigenvalues in diagonal order ``(k, n)``, eigenvector columns
     ``(k, n, n)`` and the sweeps each block took.
@@ -378,8 +378,7 @@ def _jacobi(stack: np.ndarray, sweep_cap: int
     rounds = [(np.concatenate([p, q]), np.concatenate([p, n + p, q, n + q]),
                np.concatenate([q, p])) for p, q in zip(*_rounds(n))]
     sweeps = np.zeros(k, dtype=int)
-    while len(live := _live(_offdiag_norms(av[:, :n]), target, sweeps,
-                            sweep_cap, n)):
+    while len(live := _live(_offdiag_norms(av[:, :n]), target, sweeps, n)):
         work = av if len(live) == k else av[live]
         out = np.empty((len(live), n, n), dtype=complex)
         scratch = np.empty(2 * len(live) * (n // 2 * 4) * n, dtype=complex)
@@ -398,7 +397,7 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x.conj() @ x.transpose(0, 2, 1)
 
 
-def _one_sided_jacobi(stack: np.ndarray, rows: int, sweep_cap: int) -> None:
+def _one_sided_jacobi(stack: np.ndarray, rows: int) -> None:
     """Round-robin one-sided (Hestenes) Jacobi in place on a ``(k, n, rows +
     n)`` stack: row ``p`` of a block is column ``p`` of its matrix ``A``
     (``rows`` entries) followed by column ``p`` of ``V``.
@@ -418,7 +417,7 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, sweep_cap: int) -> None:
     target = 1e-13 * scale
     rounds = [np.concatenate([p, q]) for p, q in zip(*_rounds(n))]
     sweeps = np.zeros(k, dtype=int)
-    while len(live := _live(off, target, sweeps, sweep_cap, n)):
+    while len(live := _live(off, target, sweeps, n)):
         work = stack if len(live) == k else stack[live]
         scratch = np.empty(2 * len(live) * (n // 2 * 2) * stack.shape[2],
                            dtype=complex)
@@ -440,14 +439,22 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, sweep_cap: int) -> None:
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     """Connected components of a symmetric boolean pattern as ascending index
-    arrays, in the order of their smallest index."""
+    arrays, in the order of their smallest index.
+
+    Each component is labelled by its root, its smallest index, so one
+    stable sort of the labels lists the components in root order, each
+    ascending, and they are split where the label changes (``np.unique``
+    would import ``numpy.ma``)."""
     label = np.full(pattern.shape[0], -1)
     for root in range(pattern.shape[0]):
         frontier = [root] if label[root] < 0 else []
         while len(frontier):
             label[frontier] = root
             frontier = np.flatnonzero(pattern[frontier].any(axis=0) & (label < 0))
-    return [np.flatnonzero(label == root) for root in np.unique(label)]
+    order = np.argsort(label, kind="stable")
+    if not len(order):
+        return []
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def _size_classes(blocks: list[tuple[int, np.ndarray]]
@@ -463,8 +470,7 @@ def _size_classes(blocks: list[tuple[int, np.ndarray]]
             for members in classes.values()]
 
 
-def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
-                             sweep_cap: int = JACOBI_SWEEP_CAP
+def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray]
                              ) -> list[SpectrumResult]:
     """Diagonalize Hermitian operators by round-robin Jacobi on the connected
     components of their symmetrized nonzero patterns, one stack per size
@@ -474,10 +480,10 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
 
     Eigenvalues ascend with their eigenvector columns; the residual is the
     largest ``|A v - lambda v|`` over the operator's eigenpairs, each taken
-    against its own block of the input.  ``sweep_cap`` applies to each block;
-    ``sweeps`` is the most any of the operator's own blocks took.  Raises
-    before any sweep past the eigensolve site limit or on non-Hermitian
-    input, and if a block does not converge.
+    against its own block of the input.  ``JACOBI_SWEEP_CAP`` applies to
+    each block; ``sweeps`` is the most any of the operator's own blocks
+    took.  Raises before any sweep past the eigensolve site limit or on
+    non-Hermitian input, and if a block does not converge.
     """
     mats, blocks = [], []
     for op in ops:
@@ -495,7 +501,7 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
         stack = np.zeros((len(members), m, m), dtype=complex)
         for block, (i, idx) in zip(stack, members):
             block[:len(idx), :len(idx)] = mats[i][np.ix_(idx, idx)]
-        w, v, took = _jacobi(stack, sweep_cap)
+        w, v, took = _jacobi(stack)
         # the input is zero between blocks and a pad row of v is zero, so
         # each column's residual is its block's
         res = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
@@ -512,10 +518,9 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray],
     return out
 
 
-def hermitian_eigensolve(op: DenseOperator | np.ndarray,
-                         sweep_cap: int = JACOBI_SWEEP_CAP) -> SpectrumResult:
+def hermitian_eigensolve(op: DenseOperator | np.ndarray) -> SpectrumResult:
     """``hermitian_eigensolve_all`` on one operator."""
-    return hermitian_eigensolve_all([op], sweep_cap)[0]
+    return hermitian_eigensolve_all([op])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -606,14 +611,12 @@ _CELL = "[^,;]*;[^,;]*"
 
 def write_dense_csv(path: str, m: np.ndarray) -> None:
     """One text line per row of ``m`` (a vector is one row), one ``re;im``
-    cell per entry, each float written as its ``repr``."""
+    cell per entry, each float written as its ``repr`` by one row template;
+    the text is written a row at a time, never held whole."""
     m = np.ascontiguousarray(np.atleast_2d(np.asarray(m, dtype=complex)))
-    text = list(map(repr, m.view(np.float64).ravel().tolist()))
-    cells = list(map(";".join, zip(text[::2], text[1::2])))
-    width = m.shape[1]
+    row = ",".join(["%r;%r"] * m.shape[1]) + "\n"
     with open(path, "w") as fh:
-        fh.write("".join(",".join(cells[i * width:(i + 1) * width]) + "\n"
-                         for i in range(m.shape[0])))
+        fh.writelines(row % tuple(r.tolist()) for r in m.view(np.float64))
 
 
 def read_dense_csv(path: str) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Singular value and polar decomposition by one-sided Jacobi, plus the
 block-structure and commutation checks for candidate non-invertible
 symmetry operators.  Each matrix's columns are split into the groups its
-Gram matrix couples beyond rounding, and the groups of every matrix
-decomposed at once are rotated together in size-class stacks."""
+Gram matrix couples beyond rounding, and the groups of two or more columns
+of every matrix decomposed at once are rotated together in size-class
+stacks."""
 
 from __future__ import annotations
 
@@ -11,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import (JACOBI_SWEEP_CAP, DenseOperator, _blocks,
-                    _one_sided_jacobi, _size_classes)
+from .dense import DenseOperator, _blocks, _one_sided_jacobi, _size_classes
 from .gauge import SectorEmbedding
 
 TAU_RANK_REL = 1e-10
@@ -70,28 +70,31 @@ def _column_groups(a: np.ndarray) -> list[np.ndarray]:
     return _blocks(np.abs(g) > len(a) * np.finfo(float).eps * np.outer(norms, norms))
 
 
-def _svd_all(mats: list[np.ndarray], sweep_cap: int = JACOBI_SWEEP_CAP
-             ) -> list[SVDResult]:
+def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
     """SVD of square matrices by one-sided Jacobi on their columns (Hestenes;
     Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
 
-    Each of ``_column_groups`` is rotated on its own, and the groups of all
-    matrices share one stack per size class (``dense._size_classes``).
-    ``sigma_i = |A v_i|``, descending; range columns of W are
-    ``A v_i / sigma_i``, kernel columns are completed deterministically.
-    ``sweep_cap`` applies to each group.
+    ``A V`` starts as ``A`` and ``V`` as the identity.  Each of
+    ``_column_groups`` of two or more columns is rotated on its own, and
+    those groups of all matrices share one stack per size class
+    (``dense._size_classes``); a lone column takes no rotation, so it is
+    left where it is.  ``sigma_i = |A v_i|``, descending; range columns of W
+    are ``A v_i / sigma_i``, kernel columns are completed deterministically.
+    ``dense.JACOBI_SWEEP_CAP`` applies to each group.
     """
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in mats):
         raise ValueError("svd requires a square matrix")
-    groups = [(i, idx) for i, a in enumerate(mats) for idx in _column_groups(a)]
-    avs, vs = [np.zeros_like(a) for a in mats], [np.zeros_like(a) for a in mats]
+    groups = [(i, idx) for i, a in enumerate(mats) for idx in _column_groups(a)
+              if len(idx) > 1]
+    avs = [a.copy() for a in mats]
+    vs = [np.eye(len(a), dtype=a.dtype) for a in mats]
     for m, members in _size_classes(groups):
         rows = max(len(mats[i]) for i, _ in members)
         stack = np.zeros((len(members), m, rows + m), dtype=complex)
         stack[:, np.arange(m), rows + np.arange(m)] = 1.0
         for block, (i, idx) in zip(stack, members):
             block[:len(idx), :len(mats[i])] = mats[i][:, idx].T
-        _one_sided_jacobi(stack, rows, sweep_cap)
+        _one_sided_jacobi(stack, rows)
         for block, (i, idx) in zip(stack, members):
             avs[i][:, idx] = block[:len(idx), :len(mats[i])].T
             vs[i][np.ix_(idx, idx)] = block[:len(idx), rows:rows + len(idx)].T

@@ -2,9 +2,16 @@
 timing header, dimension-cap skipping, and fault injection."""
 
 import contextlib
+import gc
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +25,9 @@ from wignerlab.dense import (EIGENSOLVE_SITE_LIMIT, ConvergenceError,
                              materialize, read_dense_binary, read_dense_csv)
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
 from wignerlab.pauli import link_layout
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*args):
@@ -347,6 +357,37 @@ def test_commutator_and_projector_checks_materialize_nothing(monkeypatch):
     checks = cli.gauge_checks(3)
     assert all(c["status"] == "pass" for c in checks)
     assert built and link_layout(3) not in built
+
+
+# -- in-process runs hold no memory ----------------------------------------------
+
+def test_in_process_runs_leave_no_stdout_buffer_alive():
+    refs = []
+    for _ in range(20):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            try:
+                main.main(["verify-automorphism", "--circuit", "u1", "--L", "2"],
+                          standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 0
+        assert json.loads(buf.getvalue())["command"] == "verify-automorphism"
+        refs.append(weakref.ref(buf))
+        del buf
+    gc.collect()
+    assert sum(ref() is not None for ref in refs) == 0
+
+
+def test_full_suite_does_not_import_numpy_ma():
+    code = ("import sys\n"
+            "from wignerlab.cli import full_suite_checks\n"
+            "assert all(c['status'] == 'pass' for c in full_suite_checks(3))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         timeout=300)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
 
 
 # -- no input ends in a traceback ------------------------------------------------

@@ -492,20 +492,37 @@ def test_blocks_follow_symmetrized_pattern(monkeypatch):
     assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(herm))) < 1e-11
 
 
-def test_sweep_cap_applies_to_each_block():
+def test_blocks_of_an_empty_pattern_are_none():
+    assert dense._blocks(np.zeros((0, 0), dtype=bool)) == []
+
+
+@settings(max_examples=50)
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_blocks_are_components_in_order_of_their_smallest_index(n, seed):
+    a = np.random.default_rng(seed).random((n, n)) < 0.15
+    pattern = a | a.T
+    count, labels = connected_components(pattern, directed=False)
+    want = sorted((np.flatnonzero(labels == k).tolist() for k in range(count)),
+                  key=lambda b: b[0])
+    assert [b.tolist() for b in dense._blocks(pattern)] == want
+
+
+def test_sweep_cap_applies_to_each_block(monkeypatch):
+    monkeypatch.setattr(dense, "JACOBI_SWEEP_CAP", 0)
     m = block_diag(np.diag([1.0, 2.0]), [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ConvergenceError):
-        hermitian_eigensolve(m, sweep_cap=0)
-    assert hermitian_eigensolve(np.diag([1.0, 2.0]), sweep_cap=0).sweeps == 0
+        hermitian_eigensolve(m)
+    assert hermitian_eigensolve(np.diag([1.0, 2.0])).sweeps == 0
 
 
-def test_convergence_error_names_block_size_misses_and_worst_norm():
+def test_convergence_error_names_block_size_misses_and_worst_norm(monkeypatch):
+    monkeypatch.setattr(dense, "JACOBI_SWEEP_CAP", 0)
     # a stack of three 2x2 blocks, one already below its target
     m = block_diag([[0.0, 1.0], [1.0, 0.0]], [[1.0, 1e-20], [1e-20, 2.0]],
                    [[0.0, 3.0], [3.0, 0.0]])
     with pytest.raises(ConvergenceError,
                        match=r"2 of 3 blocks of size 2 .* norm 4\.243e\+00"):
-        hermitian_eigensolve(m, sweep_cap=0)
+        hermitian_eigensolve(m)
 
 
 @pytest.mark.parametrize("n", range(1, 21))
@@ -534,8 +551,8 @@ def test_stack_solve_equals_block_by_block():
     rng = np.random.default_rng(17)
     stack = np.stack([_random_hermitian(rng, 9) for _ in range(6)])
     stack[2] *= 1e-3  # converges in another number of sweeps
-    vals, vecs, sweeps = dense._jacobi(stack, 100)
-    alone = [dense._jacobi(block[None], 100) for block in stack]
+    vals, vecs, sweeps = dense._jacobi(stack)
+    alone = [dense._jacobi(block[None]) for block in stack]
     for k, (val, vec, _) in enumerate(alone):
         assert np.max(np.abs(vals[k] - val[0])) < 1e-12
         assert np.max(np.abs(vecs[k] - vec[0])) < 1e-12
@@ -551,7 +568,7 @@ def test_converged_block_leaves_the_stack(monkeypatch):
     rotate = dense._rotate
     monkeypatch.setattr(dense, "_rotate",
                         lambda av, *rest: sizes.append(len(av)) or rotate(av, *rest))
-    sweeps = int(dense._jacobi(stack, 100)[2].max())
+    sweeps = int(dense._jacobi(stack)[2].max())
     rounds = len(dense._rounds(6)[0])
     assert sweeps > 2 and sizes == [2] * rounds + [1] * (sweeps - 1) * rounds
 
@@ -563,7 +580,7 @@ def test_diagonal_block_in_stack_is_exact():
     sparse = np.diag([1.0, -2.0, 4.0, 0.0, 0.0]).astype(complex)
     sparse[3:, 3:] = _random_hermitian(rng, 2)
     stack = np.stack([diag, _random_hermitian(rng, 5), sparse])
-    vals, vecs, _ = dense._jacobi(stack, 100)
+    vals, vecs, _ = dense._jacobi(stack)
     assert np.array_equal(vals[0], np.diag(diag).real)
     assert np.array_equal(vecs[0], np.eye(5))
     assert np.array_equal(vals[2, :3], [1.0, -2.0, 4.0])
@@ -574,7 +591,7 @@ def test_blocks_far_apart_in_scale_meet_their_own_targets():
     rng = np.random.default_rng(29)
     stack = np.stack([1e6 * _random_hermitian(rng, 8),
                       1e-6 * _random_hermitian(rng, 8)])
-    vals, vecs, _ = dense._jacobi(stack, 100)
+    vals, vecs, _ = dense._jacobi(stack)
     for block, val, vec in zip(stack, vals, vecs):
         scale = np.linalg.norm(block)
         assert np.max(np.abs(np.sort(val) - np.linalg.eigvalsh(block))) < 1e-13 * scale
@@ -585,7 +602,7 @@ def test_rotated_h_full_is_one_stack(monkeypatch):
     calls = []
     jacobi = dense._jacobi
     monkeypatch.setattr(dense, "_jacobi",
-                        lambda stack, cap: calls.append(stack.shape) or jacobi(stack, cap))
+                        lambda stack: calls.append(stack.shape) or jacobi(stack))
     h = eigensolve_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, 4))
     res = hermitian_eigensolve(materialize(h))
     assert calls == [(32, 8, 8)]
@@ -598,8 +615,8 @@ def _record_jacobi(monkeypatch):
     """Patch ``_jacobi`` to record each stack it solves and its result."""
     calls = []
     jacobi = dense._jacobi
-    monkeypatch.setattr(dense, "_jacobi", lambda stack, cap: calls.append(
-        (stack.copy(), jacobi(stack, cap))) or calls[-1][1])
+    monkeypatch.setattr(dense, "_jacobi", lambda stack: calls.append(
+        (stack.copy(), jacobi(stack))) or calls[-1][1])
     return calls
 
 
@@ -629,7 +646,7 @@ def test_equal_size_class_is_the_unpadded_stack():
     ops = [_random_hermitian(rng, 9) for _ in range(3)]
     ops[1] = block_diag(ops[1], _random_hermitian(rng, 9))  # two blocks
     vals, vecs, _ = dense._jacobi(np.stack([ops[0], ops[1][:9, :9],
-                                            ops[1][9:, 9:], ops[2]]), 100)
+                                            ops[1][9:, 9:], ops[2]]))
     got = hermitian_eigensolve_all(ops)
     for res, k in zip((got[0], got[2]), (0, 3)):
         order = np.argsort(vals[k], kind="stable")

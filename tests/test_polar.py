@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab.dense import (JACOBI_SWEEP_CAP, ConvergenceError, DenseOperator,
-                             materialize, random_state)
+from wignerlab import dense
+from wignerlab.dense import (ConvergenceError, DenseOperator, materialize,
+                             random_state)
 from wignerlab.gauge import (SectorEmbedding, ancilla_sector_embedding,
                              build_d_hat, build_d_noninvertible)
 from wignerlab.models import Family, ModelSpec, build_hamiltonian
@@ -92,6 +93,21 @@ def test_column_groups_of_d_are_eta_pairs_and_of_d_hat_singletons(L, sign):
     assert [g.tolist() for g in groups] == [[c] for c in range(2 << L)]
 
 
+@pytest.mark.parametrize("L", range(2, 7))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_lone_columns_take_no_stack(monkeypatch, L, sign):
+    # a one-column group takes no rotation, so it is never stacked
+    from wignerlab import polar
+    shapes = []
+    kernel = polar._one_sided_jacobi
+    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, *rest:
+                        shapes.append(stack.shape) or kernel(stack, *rest))
+    d_hat = build_d_hat(L, sign).matrix
+    res = _svd_all([d_hat])[0]
+    assert all(n > 1 for _, n, _ in shapes)
+    assert np.allclose((res.w * res.sigma) @ res.v.conj().T, d_hat, atol=1e-12)
+
+
 def test_column_groups_do_not_depend_on_scale():
     rng = np.random.default_rng(17)
     a, b = random_matrix(rng, 5), random_matrix(rng, 4)
@@ -105,13 +121,15 @@ def test_column_groups_do_not_depend_on_scale():
     assert np.max(np.abs(sigma[:5] / 1e6 - want) / want) < 1e-12
 
 
-def test_svd_raises_past_the_sweep_cap():
+def test_svd_raises_past_the_sweep_cap(monkeypatch):
     m = random_matrix(np.random.default_rng(3), 5)
+    monkeypatch.setattr(dense, "JACOBI_SWEEP_CAP", 0)
     with pytest.raises(ConvergenceError, match=r"^no convergence after 0 sweeps: "
                        r"1 of 1 blocks of size 5 missed the target; worst "
                        r"off-diagonal norm \d\.\d{3}e[+-]\d+$"):
-        _svd_all([m], sweep_cap=0)
-    assert _svd_all([m], sweep_cap=JACOBI_SWEEP_CAP)[0].rank == 5
+        _svd_all([m])
+    monkeypatch.undo()
+    assert _svd_all([m])[0].rank == 5
 
 
 @pytest.mark.parametrize("L", range(2, 8))
@@ -234,9 +252,9 @@ def test_polar_checks_stack_random_matrices_by_size_class(monkeypatch):
     monkeypatch.setattr(cli, "polar_decompose_all", counted)
     monkeypatch.setattr(polar, "polar_decompose_all", counted)
     kernel = polar._one_sided_jacobi
-    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, rows, cap:
+    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, rows:
                         batches[-1][1].append(stack.shape)
-                        or kernel(stack, rows, cap))
+                        or kernel(stack, rows))
     checks = cli.polar_checks(3, 1, 0)
     assert checks[0]["name"] == "polar reconstruction on random matrices"
     assert checks[0]["status"] == "pass"
