@@ -14,8 +14,10 @@ The Hermitian eigensolver splits matrices into the connected components of
 their exact nonzero patterns, so a matrix in a basis that diagonalizes its
 symmetries is solved sector by sector, and solves each size class of
 components as one zero-padded stack by round-robin Jacobi, each round
-rotating disjoint pairs in every block at once; the SVD's one-sided Jacobi
-(``polar``) rotates column groups in the same stacks with the same rounds.
+rotating disjoint pairs in every block at once.  One one-sided kernel
+rotates the columns of ``A V`` and ``V`` for both the eigensolve and the
+SVD (``polar``); only the form whose 2x2 blocks set the angles differs,
+``V^H A V`` or ``V^H A^H A V``.
 An ``antilinear`` operator acts as ``M . K`` (conjugation first).  The
 binary dump writes and reads the matrix's own bytes, without a copy; the CSV
 dump formats and writes one row at a time by one template.
@@ -245,8 +247,8 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigensolver and one-sided SVD kernel (round-robin Jacobi on
-# stacks of equal-size blocks)
+# Hermitian eigensolver and SVD: one round-robin one-sided Jacobi kernel on
+# stacks of equal-size blocks
 # ---------------------------------------------------------------------------
 
 def _rounds(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -279,11 +281,10 @@ def _offdiag_norms(a: np.ndarray) -> np.ndarray:
 
 
 def _angles(c: np.ndarray, dp: np.ndarray, dq: np.ndarray, thresh: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(ct, s, skip)`` for every Hermitian 2x2 ``[[dp, c], [conj(c), dq]]``
-    at once: ``R^H = [[ct, s], [-conj(s), ct]]`` makes ``R^H [..] R``
-    diagonal by the minimal angle, or is the identity where
-    ``skip = |c| <= thresh``."""
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """``(ct, s)`` for every Hermitian 2x2 ``[[dp, c], [conj(c), dq]]`` at
+    once: ``R^H = [[ct, s], [-conj(s), ct]]`` makes ``R^H [..] R`` diagonal
+    by the minimal angle, or is the identity where ``|c| <= thresh``."""
     ac = np.abs(c)
     skip = ac <= thresh
     ac[skip] = 1.0
@@ -292,55 +293,7 @@ def _angles(c: np.ndarray, dp: np.ndarray, dq: np.ndarray, thresh: np.ndarray
     t = 1.0 / (tau + np.copysign(np.hypot(tau, 1.0), tau))
     t[skip] = 0.0
     ct = 1.0 / np.hypot(1.0, t)
-    return ct, (t * ct) * (c / ac), skip
-
-
-def _rotate_rows(m: np.ndarray, pq: np.ndarray, ct: np.ndarray,
-                 s: np.ndarray, scratch: np.ndarray) -> None:
-    """``[m_p; m_q] <- [[ct, s], [-conj(s), ct]] [m_p; m_q]`` in place for
-    every pair of ``pq = (p..., q...)`` in every block, through two
-    contiguous row stacks carved from the flat ``scratch``; ``ct`` is
-    repeated for both halves, ``s`` is not."""
-    h = len(pq) // 2
-    shape = (m.shape[0], len(pq), m.shape[2])
-    x, y = scratch[:2 * math.prod(shape)].reshape(2, *shape)
-    np.take(m, pq, axis=1, out=x, mode="clip")  # "raise" would buffer out
-    np.multiply(x, ct, out=y)
-    np.multiply(x[:, h:], s, out=x[:, h:])
-    y[:, :h] += x[:, h:]
-    np.multiply(x[:, :h], s.conj(), out=x[:, :h])
-    y[:, h:] -= x[:, :h]
-    m[:, pq] = y
-
-
-def _rotate(av: np.ndarray, out: np.ndarray, pq: np.ndarray,
-            both: np.ndarray, qp: np.ndarray, thresh: np.ndarray,
-            scratch: np.ndarray) -> None:
-    """One round on ``av``, each block's matrix ``a`` stacked on ``vh``, its
-    eigenvectors as conjugated rows: ``a <- R^H a R`` and ``vh <- R^H vh``,
-    where ``R`` rotates every pair ``(p, q)`` of ``pq = (p..., q...)`` in
-    every block by the minimal angle that zeroes ``a[p, q]``, or is the
-    identity where ``|a[p, q]| <= thresh``.  ``both`` holds the same pairs
-    in ``a`` and in ``vh``, and ``qp`` swaps the halves of ``pq``.
-
-    Only rows are touched, so every gather is contiguous: ``a`` is
-    Hermitian, so ``a R`` is the conjugate transpose of ``R^H a``, which is
-    built in ``out``.  No matrix-sized temporary is allocated.
-    """
-    n = av.shape[2]
-    h = len(pq) // 2
-    p, q = pq[:h], pq[h:]
-    a = av[:, :n]
-    d = a[:, pq, pq].real
-    ct, s, skip = _angles(a[:, p, q], d[:, :h], d[:, h:], thresh)
-    ct = np.concatenate([ct] * 4, axis=1)[..., None]
-    s = np.concatenate([s, s], axis=1)[..., None]
-    _rotate_rows(av, both, ct, s, scratch)
-    np.conjugate(a.transpose(0, 2, 1), out=out)
-    _rotate_rows(out, pq, ct[:, :2 * h], s[:, :h], scratch)
-    out[:, pq, qp] *= np.concatenate([skip, skip], axis=1)
-    out.reshape(-1, n * n)[:, ::n + 1].imag = 0.0
-    a[...] = out
+    return ct, (t * ct) * (c / ac)
 
 
 def _live(off: np.ndarray, target: np.ndarray, sweeps: np.ndarray,
@@ -357,84 +310,84 @@ def _live(off: np.ndarray, target: np.ndarray, sweeps: np.ndarray,
     return live
 
 
+def _form(x: np.ndarray, rows: int, bra: slice) -> np.ndarray:
+    """``m[p, q] = <bra_p, x_q>`` for every block, ``x_q`` the first ``rows``
+    entries of row ``q`` and ``bra_p`` the ``bra`` entries of row ``p``."""
+    return x[:, :, bra].conj() @ x[:, :, :rows].transpose(0, 2, 1)
+
+
+def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
+    """Round-robin one-sided Jacobi in place on a ``(k, n, rows + n)``
+    stack: row ``p`` of a block is ``x_p = A v_p`` (``rows`` entries)
+    followed by ``v_p``, column ``p`` of ``V``.  Returns the sweeps each
+    block took.
+
+    Each pair ``(p, q)`` of a round is rotated by the minimal angle that
+    diagonalizes its Hermitian 2x2 block of ``M = <bra, x>``, applied to the
+    columns of ``A V`` and ``V``.  With ``bra = [:rows]``, ``M = V^H A^H A
+    V`` and the two columns come out orthogonal (Hestenes; Demmel &
+    Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)): the SVD.  With
+    ``bra = [rows:]``, ``M = V^H A V`` and the rotation is the two-sided
+    Jacobi one on a Hermitian ``A``: the eigensolve.  A sweep is the rounds
+    of ``_rounds(n)``; each round gathers its pairs' rows in every block
+    once, takes the angles from that gather, rotates it and scatters it
+    back.  A block's scale is the norm of its initial ``M`` and its target
+    1e-13 of that on ``M``'s off-diagonal norm; a block that meets it gets
+    no more rotations, so it is solved as it would be alone.  A zero pad
+    couples to nothing, so every rotation touching it is skipped, an exact
+    identity.
+    """
+    k, n, width = stack.shape
+    m = _form(stack, rows, bra)
+    off = _offdiag_norms(m)
+    scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), 1e-300)
+    target = 1e-13 * scale
+    rounds = [np.concatenate([p, q]) for p, q in zip(*_rounds(n))]
+    h = n // 2
+    sweeps = np.zeros(k, dtype=int)
+    while len(live := _live(off, target, sweeps, n)):
+        work = stack if len(live) == k else stack[live]
+        x, y = np.empty((2, len(live), 2 * h, width), dtype=complex)
+        thresh = 1e-16 * scale[live, None]
+        for pq in rounds:
+            # mode "raise" would gather into a buffer, not into x
+            np.take(work, pq, axis=1, out=x, mode="clip")
+            ket, b = x[:, :, :rows], x[:, :, bra]
+            d = np.vecdot(b, ket).real
+            ct, s = _angles(np.vecdot(b[:, :h], ket[:, h:]), d[:, :h],
+                            d[:, h:], thresh)
+            ct, s = ct[..., None], s[..., None]
+            # [x_p, x_q] <- [x_p, x_q] R, on the rows: R^T [row_p; row_q]
+            np.multiply(x[:, :h], ct, out=y[:, :h])
+            np.multiply(x[:, h:], ct, out=y[:, h:])
+            np.multiply(x[:, h:], s.conj(), out=x[:, h:])
+            y[:, :h] += x[:, h:]
+            np.multiply(x[:, :h], s, out=x[:, :h])
+            y[:, h:] -= x[:, :h]
+            work[:, pq] = y
+        if work is not stack:
+            stack[live] = work
+        off[live] = _offdiag_norms(_form(work, rows, bra))
+        sweeps[live] += 1
+    return sweeps
+
+
 def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Round-robin Jacobi on a ``(k, n, n)`` stack of Hermitian blocks:
     eigenvalues in diagonal order ``(k, n)``, eigenvector columns
     ``(k, n, n)`` and the sweeps each block took.
 
-    A sweep is the rounds of ``_rounds(n)``; each round rotates all its
-    disjoint pairs in every block at once, and each rotation exactly
-    diagonalizes one Hermitian 2x2 sub-block.  Scale, target and skip
-    threshold belong to each block, and a block that meets its target gets
-    no more rotations, so it is solved as it would be alone.  Each block is
-    solved as its Hermitian part.
+    ``_one_sided_jacobi`` on ``[A^T | I]``, ``A`` each block's Hermitian
+    part: row ``p`` ends as ``A v_p`` followed by ``v_p``, and the
+    eigenvalue is ``Re <v_p, A v_p>``.
     """
     k, n, _ = stack.shape
-    av = np.zeros((k, 2 * n, n), dtype=complex)
-    av[:, :n] = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
-    av[:, n + np.arange(n), np.arange(n)] = 1.0
-    scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
-    target = 1e-13 * scale
-    rounds = [(np.concatenate([p, q]), np.concatenate([p, n + p, q, n + q]),
-               np.concatenate([q, p])) for p, q in zip(*_rounds(n))]
-    sweeps = np.zeros(k, dtype=int)
-    while len(live := _live(_offdiag_norms(av[:, :n]), target, sweeps, n)):
-        work = av if len(live) == k else av[live]
-        out = np.empty((len(live), n, n), dtype=complex)
-        scratch = np.empty(2 * len(live) * (n // 2 * 4) * n, dtype=complex)
-        thresh = 1e-16 * scale[live, None]
-        for pq, both, qp in rounds:
-            _rotate(work, out, pq, both, qp, thresh, scratch)
-        if work is not av:
-            av[live] = work
-        sweeps[live] += 1
-    return (av[:, np.arange(n), np.arange(n)].real,
-            av[:, n:].conj().transpose(0, 2, 1), sweeps)
-
-
-def _gram(x: np.ndarray) -> np.ndarray:
-    """``g[p, q] = <x_p, x_q>`` over the last axis, for every block."""
-    return x.conj() @ x.transpose(0, 2, 1)
-
-
-def _one_sided_jacobi(stack: np.ndarray, rows: int) -> None:
-    """Round-robin one-sided (Hestenes) Jacobi in place on a ``(k, n, rows +
-    n)`` stack: row ``p`` of a block is column ``p`` of its matrix ``A``
-    (``rows`` entries) followed by column ``p`` of ``V``.
-
-    Each rotation is the one ``_jacobi`` takes on the pair's 2x2 block of
-    ``A^H A``, applied to the columns of ``A`` and ``V``, so the two columns
-    come out orthogonal; ``A V`` keeps the singular values and ``V`` stays
-    unitary.  A block's target is 1e-13 of its Gram matrix's norm, on that
-    matrix's off-diagonal norm, and a block that meets it gets no more
-    rotations.  A zero column (a pad) is orthogonal to every column, so
-    every rotation touching it is skipped, an exact identity.
-    """
-    k, n, _ = stack.shape
-    g = _gram(stack[:, :, :rows])
-    off = _offdiag_norms(g)
-    scale = np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
-    target = 1e-13 * scale
-    rounds = [np.concatenate([p, q]) for p, q in zip(*_rounds(n))]
-    sweeps = np.zeros(k, dtype=int)
-    while len(live := _live(off, target, sweeps, n)):
-        work = stack if len(live) == k else stack[live]
-        scratch = np.empty(2 * len(live) * (n // 2 * 2) * stack.shape[2],
-                           dtype=complex)
-        thresh = 1e-16 * scale[live, None]
-        for pq in rounds:
-            h = len(pq) // 2
-            x = work[:, pq, :rows]
-            d = np.vecdot(x, x).real
-            ct, s, _ = _angles(np.vecdot(x[:, :h], x[:, h:]), d[:, :h],
-                               d[:, h:], thresh)
-            # A <- A R is R^T on the rows: _rotate_rows with conj(s)
-            _rotate_rows(work, pq, np.concatenate([ct, ct], axis=1)[..., None],
-                         s.conj()[..., None], scratch)
-        if work is not stack:
-            stack[live] = work
-        off[live] = _offdiag_norms(_gram(work[:, :, :rows]))
-        sweeps[live] += 1
+    xv = np.zeros((k, n, 2 * n), dtype=complex)
+    xv[:, :, :n] = 0.5 * (stack.transpose(0, 2, 1) + stack.conj())
+    xv[:, np.arange(n), n + np.arange(n)] = 1.0
+    sweeps = _one_sided_jacobi(xv, n, np.s_[n:])
+    x, v = xv[:, :, :n], xv[:, :, n:]
+    return np.vecdot(v, x).real, v.transpose(0, 2, 1), sweeps
 
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -472,11 +425,12 @@ def _size_classes(blocks: list[tuple[int, np.ndarray]]
 
 def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray]
                              ) -> list[SpectrumResult]:
-    """Diagonalize Hermitian operators by round-robin Jacobi on the connected
-    components of their symmetrized nonzero patterns, one stack per size
-    class of ``_size_classes``.  A pad couples to nothing, so every rotation
-    touching it is skipped, an exact identity, and a block's eigenpairs are
-    its first ``n`` positions.
+    """Diagonalize Hermitian operators by round-robin Jacobi (``_jacobi``, the
+    one-sided kernel on ``[A^T | I]``) on the connected components of their
+    symmetrized nonzero patterns, one stack per size class of
+    ``_size_classes``.  A pad couples to nothing, so every rotation touching
+    it is skipped, an exact identity, and a block's eigenpairs are its first
+    ``n`` positions.
 
     Eigenvalues ascend with their eigenvector columns; the residual is the
     largest ``|A v - lambda v|`` over the operator's eigenpairs, each taken

@@ -94,7 +94,7 @@ def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
         stack[:, np.arange(m), rows + np.arange(m)] = 1.0
         for block, (i, idx) in zip(stack, members):
             block[:len(idx), :len(mats[i])] = mats[i][:, idx].T
-        _one_sided_jacobi(stack, rows)
+        _one_sided_jacobi(stack, rows, np.s_[:rows])
         for block, (i, idx) in zip(stack, members):
             avs[i][:, idx] = block[:len(idx), :len(mats[i])].T
             vs[i][np.ix_(idx, idx)] = block[:len(idx), rows:rows + len(idx)].T

@@ -187,7 +187,7 @@ def test_text_and_csv_formats():
     assert csv_out.splitlines()[0] == "name,status,measured,threshold,reason"
     assert csv_out.splitlines()[1].endswith(",")  # a record without a reason
     csv_out = run("polar", "--L", "10", "--format", "csv").output
-    assert csv_out.splitlines()[1] == ("polar checks,skipped,,,11 sites exceeds "
+    assert csv_out.splitlines()[2] == ("polar checks,skipped,,,11 sites exceeds "
                                        "the eigensolve limit of 10")
 
 
@@ -227,12 +227,16 @@ def test_large_L_skips_dense_checks():
     assert any(c["status"] == "pass" for c in report["checks"])
     names = [c["name"] for c in report["checks"] if c["status"] == "pass"]
     assert "[H_G, U_gauged]" in names and "[H-, U2] nonzero" in names
+    assert "polar reconstruction on random matrices" in names
 
 
 def test_polar_beyond_eigensolve_limit_skips():
     res = run("polar", "--L", "10")
     assert res.exit_code == 0
-    (check,) = json.loads(res.output)["checks"]
+    # the random matrices do not depend on L, so their record still runs
+    random, check = json.loads(res.output)["checks"]
+    assert random["name"] == "polar reconstruction on random matrices"
+    assert random["status"] == "pass"
     assert check["status"] == "skipped"
     assert f"eigensolve limit of {EIGENSOLVE_SITE_LIMIT}" in check["reason"]
 

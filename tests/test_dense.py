@@ -450,6 +450,26 @@ def test_eigensolver_exact_on_degenerate_diagonal():
     assert res.residual == 0.0
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -1.0, 0.0, 1.0, 2.0]), min_size=1,
+                max_size=24), st.integers(0, 2**32 - 1))
+def test_eigensolver_on_rotated_degenerate_spectra(lam, seed):
+    # repeated and sign-symmetric eigenvalues, like the chains' spectra, in a
+    # dense basis, so the pairs take rotations
+    rng = np.random.default_rng(seed)
+    n = len(lam)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    a = (q * lam) @ q.conj().T
+    res = hermitian_eigensolve(a)
+    v = res.eigenvectors
+    # a block stops at an off-diagonal norm of 1e-13 |A|, which the rebuild
+    # carries, so both bounds scale with |A|
+    tol = 1e-12 * max(1.0, np.linalg.norm(a))
+    assert np.max(np.abs(res.eigenvalues - np.sort(lam))) < tol
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-12
+    assert np.linalg.norm((v * res.eigenvalues) @ v.conj().T - a) < tol
+
+
 def _random_hermitian(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (m + m.conj().T) / 2
@@ -565,9 +585,9 @@ def test_converged_block_leaves_the_stack(monkeypatch):
     near_diag[0, 1] = near_diag[1, 0] = 1e-9  # one sweep reaches the target
     stack = np.stack([near_diag, _random_hermitian(rng, 6)])
     sizes = []
-    rotate = dense._rotate
-    monkeypatch.setattr(dense, "_rotate",
-                        lambda av, *rest: sizes.append(len(av)) or rotate(av, *rest))
+    angles = dense._angles  # called once per round, on the live blocks
+    monkeypatch.setattr(dense, "_angles",
+                        lambda c, *rest: sizes.append(len(c)) or angles(c, *rest))
     sweeps = int(dense._jacobi(stack)[2].max())
     rounds = len(dense._rounds(6)[0])
     assert sweeps > 2 and sizes == [2] * rounds + [1] * (sweeps - 1) * rounds

@@ -252,9 +252,9 @@ def test_polar_checks_stack_random_matrices_by_size_class(monkeypatch):
     monkeypatch.setattr(cli, "polar_decompose_all", counted)
     monkeypatch.setattr(polar, "polar_decompose_all", counted)
     kernel = polar._one_sided_jacobi
-    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, rows:
+    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, *rest:
                         batches[-1][1].append(stack.shape)
-                        or kernel(stack, rows))
+                        or kernel(stack, *rest))
     checks = cli.polar_checks(3, 1, 0)
     assert checks[0]["name"] == "polar reconstruction on random matrices"
     assert checks[0]["status"] == "pass"
