@@ -12,12 +12,13 @@ such as ``U2 (1 + eta) / 2``, is that matrix updated in place by each
 factor's ``diag + v X^x``, grouped the same way.
 The Hermitian eigensolver splits matrices into the connected components of
 their exact nonzero patterns, so a matrix in a basis that diagonalizes its
-symmetries is solved sector by sector, and solves each size class of
-components as one zero-padded stack by round-robin Jacobi, each round
-rotating disjoint pairs in every block at once.  One one-sided kernel
-rotates the columns of ``A V`` and ``V`` for both the eigensolve and the
-SVD (``polar``); only the form whose 2x2 blocks set the angles differs,
-``V^H A V`` or ``V^H A^H A V``.
+symmetries is solved sector by sector.  ``_solve_blocks`` solves the
+blocks of both the eigensolve and the SVD (``polar``): a block of one column
+is left as it is, the others share one zero-padded stack per size class, as
+rows ``[A v_p | v_p]``, and one round-robin one-sided Jacobi kernel rotates
+disjoint pairs of columns of ``A V`` and ``V`` in every block at once; only
+the form whose 2x2 blocks set the angles differs, ``V^H A V`` or
+``V^H A^H A V``.
 An ``antilinear`` operator acts as ``M . K`` (conjugation first).  The
 binary dump writes and reads the matrix's own bytes, without a copy; the CSV
 dump formats and writes one row at a time by one template.
@@ -372,22 +373,34 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
     return sweeps
 
 
-def _jacobi(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Round-robin Jacobi on a ``(k, n, n)`` stack of Hermitian blocks:
-    eigenvalues in diagonal order ``(k, n)``, eigenvector columns
-    ``(k, n, n)`` and the sweeps each block took.
-
-    ``_one_sided_jacobi`` on ``[A^T | I]``, ``A`` each block's Hermitian
-    part: row ``p`` ends as ``A v_p`` followed by ``v_p``, and the
-    eigenvalue is ``Re <v_p, A v_p>``.
-    """
-    k, n, _ = stack.shape
-    xv = np.zeros((k, n, 2 * n), dtype=complex)
-    xv[:, :, :n] = 0.5 * (stack.transpose(0, 2, 1) + stack.conj())
-    xv[:, np.arange(n), n + np.arange(n)] = 1.0
-    sweeps = _one_sided_jacobi(xv, n, np.s_[n:])
-    x, v = xv[:, :, :n], xv[:, :, n:]
-    return np.vecdot(v, x).real, v.transpose(0, 2, 1), sweeps
+def _solve_blocks(blocks: list[np.ndarray], hermitian: bool
+                  ) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """``(A V, V, sweeps)`` for each ``(r, n)`` block ``A`` from ``V = I``,
+    on the angles of ``V^H A V`` with ``hermitian`` (the eigensolve), else
+    of ``V^H A^H A V`` (the SVD).  A block of one column comes back as
+    ``(A, 1, 0)``; the others share one stack per size class
+    ``(n - 1).bit_length()``, zero-padded to the largest in it (at most
+    doubled); a pad couples to nothing, so each rotation touching it is
+    skipped, an exact identity."""
+    out = [(a, np.ones((1, 1), dtype=complex), 0) for a in blocks]
+    classes: dict[int, list[int]] = {}
+    for j, a in enumerate(blocks):
+        if a.shape[1] > 1:
+            classes.setdefault((a.shape[1] - 1).bit_length(), []).append(j)
+    for members in classes.values():
+        m = max(blocks[j].shape[1] for j in members)
+        rows = max(len(blocks[j]) for j in members)
+        stack = np.zeros((len(members), m, rows + m), dtype=complex)
+        stack[:, np.arange(m), rows + np.arange(m)] = 1.0
+        for block, j in zip(stack, members):
+            r, n = blocks[j].shape
+            block[:n, :r] = blocks[j].T
+        took = _one_sided_jacobi(stack, rows,
+                                 np.s_[rows:] if hermitian else np.s_[:rows])
+        for block, j, s in zip(stack, members, took):
+            r, n = blocks[j].shape
+            out[j] = block[:n, :r].T, block[:n, rows:rows + n].T, int(s)
+    return out
 
 
 def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
@@ -410,27 +423,11 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _size_classes(blocks: list[tuple[int, np.ndarray]]
-                  ) -> list[tuple[int, list[tuple[int, np.ndarray]]]]:
-    """Blocks ``(operator, indices)`` grouped into one stack per size class
-    ``(n - 1).bit_length()``, each with the size its blocks are zero-padded
-    to: the largest in the class (at most doubled; a class of one size is
-    not padded)."""
-    classes: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for i, idx in blocks:
-        classes.setdefault((len(idx) - 1).bit_length(), []).append((i, idx))
-    return [(max(len(idx) for _, idx in members), members)
-            for members in classes.values()]
-
-
 def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray]
                              ) -> list[SpectrumResult]:
-    """Diagonalize Hermitian operators by round-robin Jacobi (``_jacobi``, the
-    one-sided kernel on ``[A^T | I]``) on the connected components of their
-    symmetrized nonzero patterns, one stack per size class of
-    ``_size_classes``.  A pad couples to nothing, so every rotation touching
-    it is skipped, an exact identity, and a block's eigenpairs are its first
-    ``n`` positions.
+    """Diagonalize Hermitian operators by ``_solve_blocks`` on the Hermitian
+    part of each connected component of their symmetrized nonzero patterns;
+    the eigenpairs are ``(Re <v_p, A v_p>, v_p)``.
 
     Eigenvalues ascend with their eigenvector columns; the residual is the
     largest ``|A v - lambda v|`` over the operator's eigenpairs, each taken
@@ -450,20 +447,19 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray]
         blocks.append(_blocks(nonzero | nonzero.T))
     vals, vecs = [np.zeros(len(a)) for a in mats], [np.zeros_like(a) for a in mats]
     sweeps, residuals = [0] * len(mats), [0.0] * len(mats)
-    for m, members in _size_classes([(i, idx) for i, comps in enumerate(blocks)
-                                     for idx in comps]):
-        stack = np.zeros((len(members), m, m), dtype=complex)
-        for block, (i, idx) in zip(stack, members):
-            block[:len(idx), :len(idx)] = mats[i][np.ix_(idx, idx)]
-        w, v, took = _jacobi(stack)
-        # the input is zero between blocks and a pad row of v is zero, so
-        # each column's residual is its block's
-        res = np.linalg.norm(stack @ v - v * w[:, None, :], axis=1)
-        for j, (i, idx) in enumerate(members):
-            vals[i][idx] = w[j, :len(idx)]
-            vecs[i][np.ix_(idx, idx)] = v[j, :len(idx), :len(idx)]
-            sweeps[i] = max(sweeps[i], int(took[j]))
-            residuals[i] = max(residuals[i], float(res[j, :len(idx)].max()))
+    members = [(i, idx) for i, comps in enumerate(blocks) for idx in comps]
+    parts = (mats[i][np.ix_(idx, idx)] for i, idx in members)
+    solved = _solve_blocks([0.5 * (a + a.conj().T) for a in parts],
+                           hermitian=True)
+    for (i, idx), (av, v, took) in zip(members, solved):
+        w = np.vecdot(v, av, axis=0).real
+        # the input is zero between blocks, so each column's residual is its
+        # block's; the block is gathered again, not held through the solve
+        res = np.linalg.norm(mats[i][np.ix_(idx, idx)] @ v - v * w, axis=0)
+        vals[i][idx] = w
+        vecs[i][np.ix_(idx, idx)] = v
+        sweeps[i] = max(sweeps[i], took)
+        residuals[i] = max(residuals[i], float(res.max()))
     out = []
     for val, vec, s, r, comps in zip(vals, vecs, sweeps, residuals, blocks):
         order = np.argsort(val, kind="stable")

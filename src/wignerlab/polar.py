@@ -1,9 +1,8 @@
 """Singular value and polar decomposition by one-sided Jacobi, plus the
 block-structure and commutation checks for candidate non-invertible
 symmetry operators.  Each matrix's columns are split into the groups its
-Gram matrix couples beyond rounding, and the groups of two or more columns
-of every matrix decomposed at once are rotated together in size-class
-stacks."""
+Gram matrix couples beyond rounding, and the groups of every matrix
+decomposed at once are solved together by ``dense._solve_blocks``."""
 
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseOperator, _blocks, _one_sided_jacobi, _size_classes
+from .dense import DenseOperator, _blocks, _solve_blocks
 from .gauge import SectorEmbedding
 
 TAU_RANK_REL = 1e-10
@@ -74,30 +73,26 @@ def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
     """SVD of square matrices by one-sided Jacobi on their columns (Hestenes;
     Demmel & Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)).
 
-    ``A V`` starts as ``A`` and ``V`` as the identity.  Each of
-    ``_column_groups`` of two or more columns is rotated on its own, and
-    those groups of all matrices share one stack per size class
-    (``dense._size_classes``); a lone column takes no rotation, so it is
-    left where it is.  ``sigma_i = |A v_i|``, descending; range columns of W
-    are ``A v_i / sigma_i``, kernel columns are completed deterministically.
+    Each of ``_column_groups`` is rotated on its own, and the groups of all
+    matrices are solved together by ``dense._solve_blocks``.
+    ``sigma_i = |A v_i|``, descending; range columns of W are
+    ``A v_i / sigma_i``, kernel columns are completed deterministically.
     ``dense.JACOBI_SWEEP_CAP`` applies to each group.
     """
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in mats):
         raise ValueError("svd requires a square matrix")
-    groups = [(i, idx) for i, a in enumerate(mats) for idx in _column_groups(a)
-              if len(idx) > 1]
-    avs = [a.copy() for a in mats]
-    vs = [np.eye(len(a), dtype=a.dtype) for a in mats]
-    for m, members in _size_classes(groups):
-        rows = max(len(mats[i]) for i, _ in members)
-        stack = np.zeros((len(members), m, rows + m), dtype=complex)
-        stack[:, np.arange(m), rows + np.arange(m)] = 1.0
-        for block, (i, idx) in zip(stack, members):
-            block[:len(idx), :len(mats[i])] = mats[i][:, idx].T
-        _one_sided_jacobi(stack, rows, np.s_[:rows])
-        for block, (i, idx) in zip(stack, members):
-            avs[i][:, idx] = block[:len(idx), :len(mats[i])].T
-            vs[i][np.ix_(idx, idx)] = block[:len(idx), rows:rows + len(idx)].T
+    groups = [(i, idx) for i, a in enumerate(mats) for idx in _column_groups(a)]
+    avs = [np.empty_like(a) for a in mats]
+    vs = [np.zeros_like(a) for a in mats]
+    # a run of columns, such as a lone one, is passed as a view (copies of
+    # D̂'s 2^(L+1) lone columns would stay on the heap, 16 MB at L = 9); the
+    # solved blocks go with the loop, before the factors are read
+    blocks = [mats[i][:, idx[0]:idx[-1] + 1] if idx[-1] - idx[0] < len(idx)
+              else mats[i][:, idx] for i, idx in groups]
+    for (i, idx), (av, v, _) in zip(groups,
+                                    _solve_blocks(blocks, hermitian=False)):
+        avs[i][:, idx] = av
+        vs[i][np.ix_(idx, idx)] = v
     out = []
     for a, av, v in zip(mats, avs, vs):
         sigma_all = np.linalg.norm(av, axis=0)

@@ -567,12 +567,23 @@ def test_eigensolver_every_size_vs_lapack(n):
     assert res.block_sizes == (n,)
 
 
+def _jacobi(stack):
+    """Eigenvalues ``Re <v_p, A v_p>`` in diagonal order, eigenvector
+    columns and sweeps of each block of a stack of Hermitian blocks, solved
+    together by ``dense._solve_blocks`` on their Hermitian parts."""
+    solved = dense._solve_blocks([0.5 * (a + a.conj().T) for a in stack],
+                                 hermitian=True)
+    return (np.stack([np.vecdot(v, av, axis=0).real for av, v, _ in solved]),
+            np.stack([v for _, v, _ in solved]),
+            np.array([took for _, _, took in solved]))
+
+
 def test_stack_solve_equals_block_by_block():
     rng = np.random.default_rng(17)
     stack = np.stack([_random_hermitian(rng, 9) for _ in range(6)])
     stack[2] *= 1e-3  # converges in another number of sweeps
-    vals, vecs, sweeps = dense._jacobi(stack)
-    alone = [dense._jacobi(block[None]) for block in stack]
+    vals, vecs, sweeps = _jacobi(stack)
+    alone = [_jacobi(block[None]) for block in stack]
     for k, (val, vec, _) in enumerate(alone):
         assert np.max(np.abs(vals[k] - val[0])) < 1e-12
         assert np.max(np.abs(vecs[k] - vec[0])) < 1e-12
@@ -588,7 +599,7 @@ def test_converged_block_leaves_the_stack(monkeypatch):
     angles = dense._angles  # called once per round, on the live blocks
     monkeypatch.setattr(dense, "_angles",
                         lambda c, *rest: sizes.append(len(c)) or angles(c, *rest))
-    sweeps = int(dense._jacobi(stack)[2].max())
+    sweeps = int(_jacobi(stack)[2].max())
     rounds = len(dense._rounds(6)[0])
     assert sweeps > 2 and sizes == [2] * rounds + [1] * (sweeps - 1) * rounds
 
@@ -600,7 +611,7 @@ def test_diagonal_block_in_stack_is_exact():
     sparse = np.diag([1.0, -2.0, 4.0, 0.0, 0.0]).astype(complex)
     sparse[3:, 3:] = _random_hermitian(rng, 2)
     stack = np.stack([diag, _random_hermitian(rng, 5), sparse])
-    vals, vecs, _ = dense._jacobi(stack)
+    vals, vecs, _ = _jacobi(stack)
     assert np.array_equal(vals[0], np.diag(diag).real)
     assert np.array_equal(vecs[0], np.eye(5))
     assert np.array_equal(vals[2, :3], [1.0, -2.0, 4.0])
@@ -611,7 +622,7 @@ def test_blocks_far_apart_in_scale_meet_their_own_targets():
     rng = np.random.default_rng(29)
     stack = np.stack([1e6 * _random_hermitian(rng, 8),
                       1e-6 * _random_hermitian(rng, 8)])
-    vals, vecs, _ = dense._jacobi(stack)
+    vals, vecs, _ = _jacobi(stack)
     for block, val, vec in zip(stack, vals, vecs):
         scale = np.linalg.norm(block)
         assert np.max(np.abs(np.sort(val) - np.linalg.eigvalsh(block))) < 1e-13 * scale
@@ -619,24 +630,31 @@ def test_blocks_far_apart_in_scale_meet_their_own_targets():
 
 
 def test_rotated_h_full_is_one_stack(monkeypatch):
-    calls = []
-    jacobi = dense._jacobi
-    monkeypatch.setattr(dense, "_jacobi",
-                        lambda stack: calls.append(stack.shape) or jacobi(stack))
+    calls = _record_jacobi(monkeypatch)
     h = eigensolve_hamiltonian(ModelSpec(Family.FULLY_GAUGED_HG, 4))
     res = hermitian_eigensolve(materialize(h))
-    assert calls == [(32, 8, 8)]
+    assert [stack.shape for stack, _ in calls] == [(32, 8, 8)]
     assert res.block_sizes == (8,) * 32
     m = materialize(h).matrix
     assert np.max(np.abs(res.eigenvalues - np.linalg.eigvalsh(m))) < 1e-12
 
 
 def _record_jacobi(monkeypatch):
-    """Patch ``_jacobi`` to record each stack it solves and its result."""
+    """Patch the kernel to record each eigensolve stack it solves: the
+    blocks ``A`` of its rows ``[A e_p | e_p]``, and the eigenvalues
+    ``Re <v_p, A v_p>`` in diagonal order, eigenvector columns and sweeps
+    it leaves."""
     calls = []
-    jacobi = dense._jacobi
-    monkeypatch.setattr(dense, "_jacobi", lambda stack: calls.append(
-        (stack.copy(), jacobi(stack))) or calls[-1][1])
+    kernel = dense._one_sided_jacobi
+
+    def record(stack, rows, bra):
+        blocks = stack[:, :, :rows].transpose(0, 2, 1).copy()
+        took = kernel(stack, rows, bra)
+        x, v = stack[:, :, :rows], stack[:, :, rows:]
+        calls.append((blocks, (np.vecdot(v, x).real, v.transpose(0, 2, 1),
+                               took)))
+        return took
+    monkeypatch.setattr(dense, "_one_sided_jacobi", record)
     return calls
 
 
@@ -665,8 +683,8 @@ def test_equal_size_class_is_the_unpadded_stack():
     rng = np.random.default_rng(37)
     ops = [_random_hermitian(rng, 9) for _ in range(3)]
     ops[1] = block_diag(ops[1], _random_hermitian(rng, 9))  # two blocks
-    vals, vecs, _ = dense._jacobi(np.stack([ops[0], ops[1][:9, :9],
-                                            ops[1][9:, 9:], ops[2]]))
+    vals, vecs, _ = _jacobi(np.stack([ops[0], ops[1][:9, :9],
+                                      ops[1][9:, 9:], ops[2]]))
     got = hermitian_eigensolve_all(ops)
     for res, k in zip((got[0], got[2]), (0, 3)):
         order = np.argsort(vals[k], kind="stable")
@@ -684,13 +702,31 @@ def test_size_classes_keep_singletons_and_lone_blocks_unpadded(monkeypatch):
     calls = _record_jacobi(monkeypatch)
     res = hermitian_eigensolve(block_diag(np.diag([3.0, -1.0, 2.0]),
                                           _random_hermitian(rng, 64)))
-    assert sorted(stack.shape for stack, _ in calls) == [(1, 64, 64), (3, 1, 1)]
+    assert sorted(stack.shape for stack, _ in calls) == [(1, 64, 64)]
     assert res.block_sizes == (1, 1, 1, 64)
     calls.clear()
     hermitian_eigensolve_all([_random_hermitian(rng, 33),
                               _random_hermitian(rng, 20)])
     assert sorted(stack.shape for stack, _ in calls) == [(1, 20, 20),
                                                          (1, 33, 33)]
+
+
+def test_eigensolve_never_stacks_a_lone_block(monkeypatch):
+    # a block of one column takes no rotation: its eigenpair is the input's
+    # diagonal entry and unit vector, and only the block of 64 is stacked
+    rng = np.random.default_rng(53)
+    a = block_diag(np.diag([3.0, -1.0, 2.0]), _random_hermitian(rng, 64))
+    shapes = []
+    kernel = dense._one_sided_jacobi
+    monkeypatch.setattr(dense, "_one_sided_jacobi", lambda stack, *rest:
+                        shapes.append(stack.shape) or kernel(stack, *rest))
+    res = hermitian_eigensolve(a)
+    assert [shape[:2] for shape in shapes] == [(1, 64)]
+    for p in range(3):
+        col, = np.flatnonzero(res.eigenvectors[p])
+        assert np.array_equal(res.eigenvectors[:, col], np.eye(67)[:, p])
+        assert np.array_equal(res.eigenvalues[col], a[p, p])
+    assert res.block_sizes == (1, 1, 1, 64)
 
 
 def test_sweeps_count_only_the_operators_own_blocks(monkeypatch):
@@ -702,8 +738,8 @@ def test_sweeps_count_only_the_operators_own_blocks(monkeypatch):
     calls = _record_jacobi(monkeypatch)
     diag, near, full = hermitian_eigensolve_all(
         [np.diag([2.0, 1.0, 5.0]), near_diag, dense_op])
-    assert [stack.shape for stack, _ in calls] == [(3, 1, 1), (2, 12, 12)]
-    took = calls[1][1][2]
+    assert [stack.shape for stack, _ in calls] == [(2, 12, 12)]
+    took = calls[0][1][2]
     assert took.tolist() == [0, took.max()] and took.max() > 2
     assert diag.sweeps == 0 and near.sweeps == 0
     assert full.sweeps == took.max() == hermitian_eigensolve(dense_op).sweeps

@@ -97,10 +97,9 @@ def test_column_groups_of_d_are_eta_pairs_and_of_d_hat_singletons(L, sign):
 @pytest.mark.parametrize("sign", [1, -1])
 def test_lone_columns_take_no_stack(monkeypatch, L, sign):
     # a one-column group takes no rotation, so it is never stacked
-    from wignerlab import polar
     shapes = []
-    kernel = polar._one_sided_jacobi
-    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, *rest:
+    kernel = dense._one_sided_jacobi
+    monkeypatch.setattr(dense, "_one_sided_jacobi", lambda stack, *rest:
                         shapes.append(stack.shape) or kernel(stack, *rest))
     d_hat = build_d_hat(L, sign).matrix
     res = _svd_all([d_hat])[0]
@@ -251,8 +250,8 @@ def test_polar_checks_stack_random_matrices_by_size_class(monkeypatch):
     # cli imports the batch by name; polar's own calls open batches too
     monkeypatch.setattr(cli, "polar_decompose_all", counted)
     monkeypatch.setattr(polar, "polar_decompose_all", counted)
-    kernel = polar._one_sided_jacobi
-    monkeypatch.setattr(polar, "_one_sided_jacobi", lambda stack, *rest:
+    kernel = dense._one_sided_jacobi
+    monkeypatch.setattr(dense, "_one_sided_jacobi", lambda stack, *rest:
                         batches[-1][1].append(stack.shape)
                         or kernel(stack, *rest))
     checks = cli.polar_checks(3, 1, 0)
