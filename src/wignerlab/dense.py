@@ -18,7 +18,9 @@ is left as it is, the others share one zero-padded stack per size class, as
 rows ``[A v_p | v_p]``, and one round-robin one-sided Jacobi kernel rotates
 disjoint pairs of columns of ``A V`` and ``V`` in every block at once; only
 the form whose 2x2 blocks set the angles differs, ``V^H A V`` or
-``V^H A^H A V``.
+``V^H A^H A V``.  The kernel holds the stack position-major, row by row
+across its blocks, so a round's two halves are contiguous and one gather
+turns every row to its place for the next round.
 An ``antilinear`` operator acts as ``M . K`` (conjugation first).  The
 binary dump writes and reads the matrix's own bytes, without a copy; the CSV
 dump formats and writes one row at a time by one template.
@@ -252,24 +254,20 @@ def materialize(obj: PauliString | PauliSum | CliffordCircuit,
 # stacks of equal-size blocks
 # ---------------------------------------------------------------------------
 
-def _rounds(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Round-robin pair schedule of one Jacobi sweep over ``0..n-1``.
-
-    Circle method over ``n`` rounded up to even: index 0 stays, the others
-    turn one place per round, and position ``i`` meets position ``-1 - i``.
-    For odd ``n`` the extra index is a bye, so one index sits out each
-    round.  Returns ``(p, q)``, each of shape ``(rounds, n // 2)`` with
-    ``p < q``: the pairs of a round are disjoint and every pair appears once.
+def _turn(n: int) -> np.ndarray:
+    """The circle method's turn on ``n`` rows rounded up to even, ``m``:
+    position 0 stays and the others move one place along the ring
+    ``1, .., m/2 - 1, m - 1, .., m/2``, the row at position ``turn[j]`` to
+    position ``j``.  A round pairs positions ``i`` and ``m/2 + i``; over
+    ``m - 1`` rounds every two rows meet once, and the order is back where
+    it began.
     """
     m = n + (n & 1)
-    turn = np.arange(m - 1)
-    ring = np.zeros((m - 1, m), dtype=np.intp)
-    ring[:, 1:] = (turn[:, None] + turn) % (m - 1) + 1
-    left, right = ring[:, :m // 2], ring[:, :m // 2 - 1:-1]
-    p, q = np.minimum(left, right), np.maximum(left, right)
-    real = q < n  # drops the bye's pair
-    shape = (m - 1, n // 2)
-    return p[real].reshape(shape), q[real].reshape(shape)
+    h = m // 2
+    ring = np.concatenate([np.arange(1, h), np.arange(m - 1, h - 1, -1)])
+    turn = np.arange(m)
+    turn[np.roll(ring, -1)] = ring
+    return turn
 
 
 def _offdiag_norms(a: np.ndarray) -> np.ndarray:
@@ -312,9 +310,11 @@ def _live(off: np.ndarray, target: np.ndarray, sweeps: np.ndarray,
 
 
 def _form(x: np.ndarray, rows: int, bra: slice) -> np.ndarray:
-    """``m[p, q] = <bra_p, x_q>`` for every block, ``x_q`` the first ``rows``
-    entries of row ``q`` and ``bra_p`` the ``bra`` entries of row ``p``."""
-    return x[:, :, bra].conj() @ x[:, :, :rows].transpose(0, 2, 1)
+    """``m[b, p, q] = <bra_p, x_q>`` for each block ``b`` of a position-major
+    ``(m, k, width)`` stack, ``x_q`` the first ``rows`` entries of row ``q``
+    and ``bra_p`` the ``bra`` entries of row ``p``."""
+    return (x[..., bra].conj().transpose(1, 0, 2)
+            @ x[..., :rows].transpose(1, 2, 0))
 
 
 def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
@@ -329,47 +329,58 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
     V`` and the two columns come out orthogonal (Hestenes; Demmel &
     Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)): the SVD.  With
     ``bra = [rows:]``, ``M = V^H A V`` and the rotation is the two-sided
-    Jacobi one on a Hermitian ``A``: the eigensolve.  A sweep is the rounds
-    of ``_rounds(n)``; each round gathers its pairs' rows in every block
-    once, takes the angles from that gather, rotates it and scatters it
-    back.  A block's scale is the norm of its initial ``M`` and its target
-    1e-13 of that on ``M``'s off-diagonal norm; a block that meets it gets
-    no more rotations, so it is solved as it would be alone.  A zero pad
-    couples to nothing, so every rotation touching it is skipped, an exact
-    identity.
+    Jacobi one on a Hermitian ``A``: the eigensolve.
+
+    The solve runs on a position-major ``(m, k, width)`` copy, ``m`` the
+    ``n`` rows rounded up to even; for odd ``n`` the extra row is a zero
+    bye.  A round pairs positions ``i`` and ``m/2 + i``, so the ``p`` and
+    ``q`` halves of every block are the contiguous ``x[:m/2]`` and
+    ``x[m/2:]``; it rotates them into a second buffer, and one ``take`` of
+    ``_turn(n)`` moves every row to its place for the next round.  A sweep
+    is ``m - 1`` rounds and leaves the rows in their first order.  A
+    block's scale is the norm of its initial ``M`` and its target 1e-13 of
+    that on ``M``'s off-diagonal norm; a block that meets it is written
+    back and gets no more rotations, so it is solved as it would be alone.
+    A zero pad or bye couples to nothing, so every rotation touching it is
+    skipped, an exact identity.
     """
     k, n, width = stack.shape
-    m = _form(stack, rows, bra)
-    off = _offdiag_norms(m)
-    scale = np.maximum(np.linalg.norm(m, axis=(1, 2)), 1e-300)
+    m = n + (n & 1)
+    h = m // 2
+    x = np.zeros((m, k, width), dtype=complex)
+    x[:n] = stack.transpose(1, 0, 2)
+    y = np.empty_like(x)
+    g = _form(x, rows, bra)
+    off = _offdiag_norms(g)
+    scale = np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
     target = 1e-13 * scale
-    rounds = [np.concatenate([p, q]) for p, q in zip(*_rounds(n))]
-    h = n // 2
+    turn = _turn(n)
     sweeps = np.zeros(k, dtype=int)
-    while len(live := _live(off, target, sweeps, n)):
-        work = stack if len(live) == k else stack[live]
-        x, y = np.empty((2, len(live), 2 * h, width), dtype=complex)
-        thresh = 1e-16 * scale[live, None]
-        for pq in rounds:
-            # mode "raise" would gather into a buffer, not into x
-            np.take(work, pq, axis=1, out=x, mode="clip")
-            ket, b = x[:, :, :rows], x[:, :, bra]
+    held = np.arange(k)  # x[:, i] is block held[i] of the stack
+    while len(_live(off, target, sweeps, n)):
+        done = off[held] <= target[held]
+        if done.any():
+            stack[held[done]] = x[:n, done].transpose(1, 0, 2)
+            held, x = held[~done], x[:, ~done]
+            y = np.empty_like(x)
+        thresh = 1e-16 * scale[held]
+        for _ in range(m - 1):
+            ket, b = x[..., :rows], x[..., bra]
             d = np.vecdot(b, ket).real
-            ct, s = _angles(np.vecdot(b[:, :h], ket[:, h:]), d[:, :h],
-                            d[:, h:], thresh)
+            ct, s = _angles(np.vecdot(b[:h], ket[h:]), d[:h], d[h:], thresh)
             ct, s = ct[..., None], s[..., None]
             # [x_p, x_q] <- [x_p, x_q] R, on the rows: R^T [row_p; row_q]
-            np.multiply(x[:, :h], ct, out=y[:, :h])
-            np.multiply(x[:, h:], ct, out=y[:, h:])
-            np.multiply(x[:, h:], s.conj(), out=x[:, h:])
-            y[:, :h] += x[:, h:]
-            np.multiply(x[:, :h], s, out=x[:, :h])
-            y[:, h:] -= x[:, :h]
-            work[:, pq] = y
-        if work is not stack:
-            stack[live] = work
-        off[live] = _offdiag_norms(_form(work, rows, bra))
-        sweeps[live] += 1
+            np.multiply(x[:h], ct, out=y[:h])
+            np.multiply(x[h:], ct, out=y[h:])
+            np.multiply(x[h:], s.conj(), out=x[h:])
+            y[:h] += x[h:]
+            np.multiply(x[:h], s, out=x[:h])
+            y[h:] -= x[:h]
+            # mode "raise" would gather into a hidden buffer, not into x
+            np.take(y, turn, axis=0, out=x, mode="clip")
+        off[held] = _offdiag_norms(_form(x, rows, bra))
+        sweeps[held] += 1
+    stack[held] = x[:n].transpose(1, 0, 2)
     return sweeps
 
 
@@ -380,8 +391,7 @@ def _solve_blocks(blocks: list[np.ndarray], hermitian: bool
     of ``V^H A^H A V`` (the SVD).  A block of one column comes back as
     ``(A, 1, 0)``; the others share one stack per size class
     ``(n - 1).bit_length()``, zero-padded to the largest in it (at most
-    doubled); a pad couples to nothing, so each rotation touching it is
-    skipped, an exact identity."""
+    doubled), its pads exact identities in ``_one_sided_jacobi``."""
     out = [(a, np.ones((1, 1), dtype=complex), 0) for a in blocks]
     classes: dict[int, list[int]] = {}
     for j, a in enumerate(blocks):

@@ -547,13 +547,18 @@ def test_convergence_error_names_block_size_misses_and_worst_norm(monkeypatch):
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_round_robin_schedule_covers_each_pair_once(n):
-    p, q = dense._rounds(n)
-    assert p.shape == q.shape == (n - 1 + (n & 1), n // 2)
-    assert np.all(p < q) and np.all(q < n)
-    for rp, rq in zip(p, q):  # disjoint pairs within a round
-        assert len(set(rp.tolist()) | set(rq.tolist())) == 2 * len(rp)
-    pairs = sorted(zip(p.ravel().tolist(), q.ravel().tolist()))
-    assert pairs == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    turn = dense._turn(n)
+    m = n + (n & 1)
+    assert sorted(turn.tolist()) == list(range(m))
+    order, pairs = np.arange(m), []
+    for _ in range(m - 1):  # a round pairs positions i and m/2 + i
+        p, q = order[:m // 2], order[m // 2:]
+        assert len(set(p.tolist()) | set(q.tolist())) == m  # disjoint
+        pairs += [(min(a, b), max(a, b)) for a, b in zip(p.tolist(), q.tolist())
+                  if max(a, b) < n]  # drops the bye's pair
+        order = order[turn]
+    assert np.array_equal(order, np.arange(m))  # one sweep of turns
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 @pytest.mark.parametrize("n", range(1, 34))
@@ -597,10 +602,10 @@ def test_converged_block_leaves_the_stack(monkeypatch):
     stack = np.stack([near_diag, _random_hermitian(rng, 6)])
     sizes = []
     angles = dense._angles  # called once per round, on the live blocks
-    monkeypatch.setattr(dense, "_angles",
-                        lambda c, *rest: sizes.append(len(c)) or angles(c, *rest))
+    monkeypatch.setattr(dense, "_angles", lambda c, *rest:
+                        sizes.append(c.shape[1]) or angles(c, *rest))
     sweeps = int(_jacobi(stack)[2].max())
-    rounds = len(dense._rounds(6)[0])
+    rounds = len(dense._turn(6)) - 1
     assert sweeps > 2 and sizes == [2] * rounds + [1] * (sweeps - 1) * rounds
 
 
@@ -677,6 +682,35 @@ def test_padded_class_matches_each_block_alone(monkeypatch):
         assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-12
         assert np.linalg.norm((v * got.eigenvalues) @ v.conj().T - a) < 1e-12
         assert got.residual < 1e-12 and got.block_sizes == (n,)
+
+
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_size_class_solves_each_block_as_alone(monkeypatch, hermitian):
+    # sizes 9, 12 and 16 share one class padded to 16; each block, one far
+    # smaller, comes out as from a stack of its own at that size
+    rng = np.random.default_rng(47)
+    blocks = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+              for n in (9, 12, 16)]
+    if hermitian:
+        blocks = [0.5 * (a + a.conj().T) for a in blocks]
+    blocks[1] = 1e-3 * blocks[1]
+    padded = [np.pad(a, (0, 16 - len(a))) for a in blocks]
+    alone = [dense._solve_blocks([a], hermitian)[0] for a in padded]
+    stacks = []
+    kernel = dense._one_sided_jacobi
+    monkeypatch.setattr(dense, "_one_sided_jacobi", lambda stack, *rest:
+                        stacks.append(stack) or kernel(stack, *rest))
+    solved = dense._solve_blocks(blocks, hermitian)
+    stack, = stacks
+    assert stack.shape == (3, 16, 32)
+    for a, (av, v, took), (av1, v1, took1), block in zip(blocks, solved,
+                                                         alone, stack):
+        n = len(a)
+        assert np.max(np.abs(av - av1[:n, :n])) < 1e-12
+        assert np.max(np.abs(v - v1[:n, :n])) < 1e-12
+        assert took == took1
+        pad_v = block[:, 16:].T  # V, pad rows and columns included
+        assert not pad_v[n:, :n].any() and not pad_v[:n, n:].any()
 
 
 def test_equal_size_class_is_the_unpadded_stack():
