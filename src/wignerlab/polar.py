@@ -34,30 +34,6 @@ class PolarFactors:
     invertible: bool
 
 
-def _complete_kernel(w: np.ndarray, n_range: int) -> np.ndarray:
-    """Fill kernel columns by Gram-Schmidt of standard basis vectors against
-    the accepted columns, in index order: each candidate is orthogonalized
-    against all of them at once, twice, and kept if its norm exceeds 1e-8."""
-    n = w.shape[0]
-    out = w.copy()
-    k = n_range
-    for idx in range(n):
-        if k == n:
-            break
-        cand = np.zeros(n, dtype=complex)
-        cand[idx] = 1.0
-        q = out[:, :k]
-        for _ in range(2):  # re-orthogonalize once
-            cand -= q @ (cand.conj() @ q).conj()
-        nrm = np.linalg.norm(cand)
-        if nrm > 1e-8:
-            out[:, k] = cand / nrm
-            k += 1
-    if k != n:
-        raise RuntimeError("kernel completion failed")
-    return out
-
-
 def _column_groups(a: np.ndarray) -> list[np.ndarray]:
     """Connected groups of the columns of ``a`` (``dense._blocks`` order):
     columns ``i`` and ``j`` of an ``n``-row matrix are coupled when
@@ -76,7 +52,10 @@ def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
     Each of ``_column_groups`` is rotated on its own, and the groups of all
     matrices are solved together by ``dense._solve_blocks``.
     ``sigma_i = |A v_i|``, descending; range columns of W are
-    ``A v_i / sigma_i``, kernel columns are completed deterministically.
+    ``A v_i / sigma_i``.  When the rank is below n, the kernel columns are
+    the last n - rank columns of one complete Householder QR of the range
+    columns (Golub & Van Loan, §5.2): the polar factor is fixed only on the
+    range, so any orthonormal basis of the kernel serves.
     ``dense.JACOBI_SWEEP_CAP`` applies to each group.
     """
     if any(a.ndim != 2 or a.shape[0] != a.shape[1] for a in mats):
@@ -94,14 +73,19 @@ def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
         avs[i][:, idx] = av
         vs[i][np.ix_(idx, idx)] = v
     out = []
-    for a, av, v in zip(mats, avs, vs):
+    for i, a in enumerate(mats):
+        # drop the unsorted factors before the sorted copies: a lower peak
+        av, v, avs[i], vs[i] = avs[i], vs[i], None, None
         sigma_all = np.linalg.norm(av, axis=0)
         order = np.argsort(sigma_all, kind="stable")[::-1]
         sigma, v, av = sigma_all[order], v[:, order], av[:, order]
         rank = int(np.sum(sigma > TAU_RANK_REL * sigma.max(initial=0.0)))
-        w = np.zeros_like(a)
-        w[:, :rank] = av[:, :rank] / sigma[:rank]
-        out.append(SVDResult(_complete_kernel(w, rank), sigma, v, rank))
+        w = av[:, :rank] / sigma[:rank]
+        if rank < len(a):
+            q = np.linalg.qr(w, mode="complete")[0]
+            q[:, :rank] = w
+            w = q
+        out.append(SVDResult(w, sigma, v, rank))
     return out
 
 

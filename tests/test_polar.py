@@ -2,6 +2,8 @@
 oracles, plus the structure theorem for candidate symmetry operators of the
 form (anti)unitary times projector."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,14 +168,49 @@ def _loop_complete_kernel(w, n_range):
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("build", [build_d_hat, build_d_noninvertible])
 def test_kernel_completion_matches_column_loop(build, sign, L):
-    res = svd(build(L, sign).matrix)
+    a = build(L, sign).matrix
+    res = svd(a)
     w, r = res.w, res.rank
     assert 0 < r < w.shape[0]
     assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0])) < 1e-12
     assert np.max(np.abs(w[:, :r].conj().T @ w[:, r:])) < 1e-12
-    oracle = _loop_complete_kernel(w[:, :r], r)
-    vh = res.v.conj().T
-    assert np.max(np.abs(w @ vh - oracle @ vh)) < 1e-12
+    assert np.max(np.abs(w[:, :r] * res.sigma[:r] - a @ res.v[:, :r])) < 1e-12
+    # the kernel's span is unique, its basis is not: compare projectors
+    k, oracle = w[:, r:], _loop_complete_kernel(w[:, :r], r)[:, r:]
+    assert np.max(np.abs(k @ k.conj().T - oracle @ oracle.conj().T)) < 1e-12
+
+
+def _haar_unitary(rng, n):
+    """Haar-random unitary: QR of a complex Ginibre matrix with R's diagonal
+    phases moved into Q (Mezzadri, Notices AMS 54, 592 (2007))."""
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    d = r.diagonal()
+    return q * (d / np.abs(d))
+
+
+@pytest.mark.parametrize("L", range(2, 6))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_polar_records_do_not_see_the_kernel_basis(monkeypatch, L, sign):
+    # the polar factor is fixed only on the range: rotating W's kernel
+    # columns by any unitary leaves every record of the battery as it was
+    from wignerlab import cli, polar
+    want = cli.polar_checks(L, sign, 0)
+    rng = np.random.default_rng(L)
+    rotated = []
+    solve = polar._svd_all
+
+    def rotate_kernels(mats):
+        out = []
+        for res in solve(mats):
+            w, r = res.w.copy(), res.rank
+            w[:, r:] = w[:, r:] @ _haar_unitary(rng, w.shape[0] - r)
+            rotated.append(w.shape[0] - r)
+            out.append(dataclasses.replace(res, w=w))
+        return out
+
+    monkeypatch.setattr(polar, "_svd_all", rotate_kernels)
+    assert cli.polar_checks(L, sign, 0) == want
+    assert max(rotated) > 1
 
 
 # -- polar decomposition ------------------------------------------------------------
@@ -262,6 +299,27 @@ def test_polar_checks_stack_random_matrices_by_size_class(monkeypatch):
     assert count == 20 and sum(k for k, _, _ in shapes) == 20
     classes = [(n - 1).bit_length() for _, n, _ in shapes]
     assert len(classes) == len(set(classes)) <= 4
+
+
+def test_full_rank_batch_makes_no_qr_call(monkeypatch):
+    # a full-rank W has no kernel to complete
+    from wignerlab import cli, polar
+    batches = []
+    batch = polar.polar_decompose_all
+    monkeypatch.setattr(cli, "polar_decompose_all",
+                        lambda ops: batches.append(ops) or batch(ops))
+    cli.polar_checks(3, 1, 0)
+    mats = batches[0]
+    calls = []
+    qr = polar.np.linalg.qr
+    monkeypatch.setattr(polar.np.linalg, "qr",
+                        lambda *args, **kw: calls.append(args) or qr(*args, **kw))
+    assert len(mats) == 20
+    assert all(f.invertible for f in batch(mats))
+    assert calls == []
+    # a rank-deficient input completes its kernel by one QR
+    batch([build_d_hat(2, 1)])
+    assert len(calls) == 1
 
 
 @settings(max_examples=30)
