@@ -12,15 +12,15 @@ such as ``U2 (1 + eta) / 2``, is that matrix updated in place by each
 factor's ``diag + v X^x``, grouped the same way.
 The Hermitian eigensolver splits matrices into the connected components of
 their exact nonzero patterns, so a matrix in a basis that diagonalizes its
-symmetries is solved sector by sector.  ``_solve_blocks`` solves the
-blocks of both the eigensolve and the SVD (``polar``): a block of one column
-is left as it is, the others share one zero-padded stack per size class, as
-rows ``[A v_p | v_p]``, and one round-robin one-sided Jacobi kernel rotates
-disjoint pairs of columns of ``A V`` and ``V`` in every block at once; only
-the form whose 2x2 blocks set the angles differs, ``V^H A V`` or
-``V^H A^H A V``.  The kernel holds the stack position-major, row by row
-across its blocks, so a round's two halves are contiguous and one gather
-turns every row to its place for the next round.
+symmetries is solved sector by sector, each Hermitian block ``H`` as the
+SVD of the positive semi-definite ``H + |H|_F I``.  ``_solve_blocks`` is the
+SVD of the blocks of both the eigensolve and ``polar``: a block of one
+column is left as it is, the others share one zero-padded stack per size
+class, as rows ``[A v_p | v_p]``, and one round-robin one-sided Jacobi
+kernel rotates disjoint pairs of columns of ``A V`` and ``V`` in every block
+at once.  The kernel holds the stack position-major, row by row across its
+blocks, so a round's two halves are contiguous and one gather turns every
+row to its place for the next round.
 An ``antilinear`` operator acts as ``M . K`` (conjugation first).  The
 binary dump writes and reads the matrix's own bytes, without a copy; the CSV
 dump formats and writes one row at a time by one template.
@@ -302,34 +302,32 @@ def _live(off: np.ndarray, target: np.ndarray, sweeps: np.ndarray,
     read at call time."""
     live = np.flatnonzero(off > target)
     if len(live) and sweeps.max() >= JACOBI_SWEEP_CAP:
+        worst = live[np.argmax(off[live])]
         raise ConvergenceError(
             f"no convergence after {JACOBI_SWEEP_CAP} sweeps: {len(live)} of "
-            f"{len(off)} blocks of size {n} missed the target; worst "
-            f"off-diagonal norm {off[live].max():.3e}")
+            f"{len(off)} blocks of size {n} missed the target; worst off-diagonal "
+            f"norm {off[worst]:.3e} against a target of {target[worst]:.3e}")
     return live
 
 
-def _form(x: np.ndarray, rows: int, bra: slice) -> np.ndarray:
-    """``m[b, p, q] = <bra_p, x_q>`` for each block ``b`` of a position-major
-    ``(m, k, width)`` stack, ``x_q`` the first ``rows`` entries of row ``q``
-    and ``bra_p`` the ``bra`` entries of row ``p``."""
-    return (x[..., bra].conj().transpose(1, 0, 2)
-            @ x[..., :rows].transpose(1, 2, 0))
+def _form(x: np.ndarray, rows: int) -> np.ndarray:
+    """``<x_p, x_q>`` for each block of a position-major ``(m, k, width)``
+    stack, ``x_p`` the first ``rows`` entries of row ``p``."""
+    ket = x[..., :rows]
+    return ket.conj().transpose(1, 0, 2) @ ket.transpose(1, 2, 0)
 
 
-def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
+def _one_sided_jacobi(stack: np.ndarray, rows: int) -> np.ndarray:
     """Round-robin one-sided Jacobi in place on a ``(k, n, rows + n)``
     stack: row ``p`` of a block is ``x_p = A v_p`` (``rows`` entries)
     followed by ``v_p``, column ``p`` of ``V``.  Returns the sweeps each
     block took.
 
     Each pair ``(p, q)`` of a round is rotated by the minimal angle that
-    diagonalizes its Hermitian 2x2 block of ``M = <bra, x>``, applied to the
-    columns of ``A V`` and ``V``.  With ``bra = [:rows]``, ``M = V^H A^H A
-    V`` and the two columns come out orthogonal (Hestenes; Demmel &
-    Veselić, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)): the SVD.  With
-    ``bra = [rows:]``, ``M = V^H A V`` and the rotation is the two-sided
-    Jacobi one on a Hermitian ``A``: the eigensolve.
+    diagonalizes its Hermitian 2x2 block of ``M = <x_p, x_q> = V^H A^H A
+    V``, applied to the columns of ``A V`` and ``V``, so the two columns of
+    ``A V`` come out orthogonal (Hestenes; Demmel & Veselić, SIAM J. Matrix
+    Anal. Appl. 13, 1204 (1992)): the SVD.
 
     The solve runs on a position-major ``(m, k, width)`` copy, ``m`` the
     ``n`` rows rounded up to even; for odd ``n`` the extra row is a zero
@@ -337,12 +335,12 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
     ``q`` halves of every block are the contiguous ``x[:m/2]`` and
     ``x[m/2:]``; it rotates them into a second buffer, and one ``take`` of
     ``_turn(n)`` moves every row to its place for the next round.  A sweep
-    is ``m - 1`` rounds and leaves the rows in their first order.  A
-    block's scale is the norm of its initial ``M`` and its target 1e-13 of
-    that on ``M``'s off-diagonal norm; a block that meets it is written
-    back and gets no more rotations, so it is solved as it would be alone.
-    A zero pad or bye couples to nothing, so every rotation touching it is
-    skipped, an exact identity.
+    is ``m - 1`` rounds and leaves the rows in their first order.  A pair
+    is skipped at ``|M_pq|`` up to 1e-16 of the initial ``|M|_F``; a block
+    is done when ``M``'s off-diagonal norm is below 2e-15 of its trace (the
+    rounding floor is near ``eps`` times the trace), then written back, so
+    it gets the rotations it would get alone.  A zero pad or bye couples
+    to nothing, so every rotation touching it is skipped, an exact identity.
     """
     k, n, width = stack.shape
     m = n + (n & 1)
@@ -350,10 +348,10 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
     x = np.zeros((m, k, width), dtype=complex)
     x[:n] = stack.transpose(1, 0, 2)
     y = np.empty_like(x)
-    g = _form(x, rows, bra)
+    g = _form(x, rows)
     off = _offdiag_norms(g)
-    scale = np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
-    target = 1e-13 * scale
+    scale = np.linalg.norm(g, axis=(1, 2))
+    target = 2e-15 * np.trace(g, axis1=1, axis2=2).real
     turn = _turn(n)
     sweeps = np.zeros(k, dtype=int)
     held = np.arange(k)  # x[:, i] is block held[i] of the stack
@@ -365,9 +363,9 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
             y = np.empty_like(x)
         thresh = 1e-16 * scale[held]
         for _ in range(m - 1):
-            ket, b = x[..., :rows], x[..., bra]
-            d = np.vecdot(b, ket).real
-            ct, s = _angles(np.vecdot(b[:h], ket[h:]), d[:h], d[h:], thresh)
+            ket = x[..., :rows]
+            d = np.vecdot(ket, ket).real
+            ct, s = _angles(np.vecdot(ket[:h], ket[h:]), d[:h], d[h:], thresh)
             ct, s = ct[..., None], s[..., None]
             # [x_p, x_q] <- [x_p, x_q] R, on the rows: R^T [row_p; row_q]
             np.multiply(x[:h], ct, out=y[:h])
@@ -378,20 +376,19 @@ def _one_sided_jacobi(stack: np.ndarray, rows: int, bra: slice) -> np.ndarray:
             y[h:] -= x[:h]
             # mode "raise" would gather into a hidden buffer, not into x
             np.take(y, turn, axis=0, out=x, mode="clip")
-        off[held] = _offdiag_norms(_form(x, rows, bra))
+        off[held] = _offdiag_norms(_form(x, rows))
         sweeps[held] += 1
     stack[held] = x[:n].transpose(1, 0, 2)
     return sweeps
 
 
-def _solve_blocks(blocks: list[np.ndarray], hermitian: bool
+def _solve_blocks(blocks: list[np.ndarray]
                   ) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """``(A V, V, sweeps)`` for each ``(r, n)`` block ``A`` from ``V = I``,
-    on the angles of ``V^H A V`` with ``hermitian`` (the eigensolve), else
-    of ``V^H A^H A V`` (the SVD).  A block of one column comes back as
-    ``(A, 1, 0)``; the others share one stack per size class
-    ``(n - 1).bit_length()``, zero-padded to the largest in it (at most
-    doubled), its pads exact identities in ``_one_sided_jacobi``."""
+    """``(A V, V, sweeps)`` for each ``(r, n)`` block ``A`` from ``V = I``:
+    the SVD.  A block of one column comes back as ``(A, 1, 0)``; the others
+    share one stack per size class ``(n - 1).bit_length()``, zero-padded to
+    the largest in it (at most doubled), its pads exact identities in
+    ``_one_sided_jacobi``."""
     out = [(a, np.ones((1, 1), dtype=complex), 0) for a in blocks]
     classes: dict[int, list[int]] = {}
     for j, a in enumerate(blocks):
@@ -405,8 +402,7 @@ def _solve_blocks(blocks: list[np.ndarray], hermitian: bool
         for block, j in zip(stack, members):
             r, n = blocks[j].shape
             block[:n, :r] = blocks[j].T
-        took = _one_sided_jacobi(stack, rows,
-                                 np.s_[rows:] if hermitian else np.s_[:rows])
+        took = _one_sided_jacobi(stack, rows)
         for block, j, s in zip(stack, members, took):
             r, n = blocks[j].shape
             out[j] = block[:n, :r].T, block[:n, rows:rows + n].T, int(s)
@@ -435,9 +431,11 @@ def _blocks(pattern: np.ndarray) -> list[np.ndarray]:
 
 def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray]
                              ) -> list[SpectrumResult]:
-    """Diagonalize Hermitian operators by ``_solve_blocks`` on the Hermitian
-    part of each connected component of their symmetrized nonzero patterns;
-    the eigenpairs are ``(Re <v_p, A v_p>, v_p)``.
+    """Diagonalize Hermitian operators by ``_solve_blocks`` on the positive
+    semi-definite ``H + |H|_F I``, whose right singular vectors ``v_p`` are
+    eigenvectors of ``H``, for the Hermitian part ``H`` of each connected
+    component ``A`` of their symmetrized nonzero patterns; the eigenpairs
+    are ``(Re <v_p, A v_p>, v_p)``.
 
     Eigenvalues ascend with their eigenvector columns; the residual is the
     largest ``|A v - lambda v|`` over the operator's eigenpairs, each taken
@@ -459,13 +457,14 @@ def hermitian_eigensolve_all(ops: Sequence[DenseOperator | np.ndarray]
     sweeps, residuals = [0] * len(mats), [0.0] * len(mats)
     members = [(i, idx) for i, comps in enumerate(blocks) for idx in comps]
     parts = (mats[i][np.ix_(idx, idx)] for i, idx in members)
-    solved = _solve_blocks([0.5 * (a + a.conj().T) for a in parts],
-                           hermitian=True)
-    for (i, idx), (av, v, took) in zip(members, solved):
-        w = np.vecdot(v, av, axis=0).real
+    herm = (0.5 * (a + a.conj().T) for a in parts)
+    solved = _solve_blocks([h + np.linalg.norm(h) * np.eye(len(h)) for h in herm])
+    for (i, idx), (_, v, took) in zip(members, solved):
         # the input is zero between blocks, so each column's residual is its
         # block's; the block is gathered again, not held through the solve
-        res = np.linalg.norm(mats[i][np.ix_(idx, idx)] @ v - v * w, axis=0)
+        av = mats[i][np.ix_(idx, idx)] @ v
+        w = np.vecdot(v, av, axis=0).real
+        res = np.linalg.norm(av - v * w, axis=0)
         vals[i][idx] = w
         vecs[i][np.ix_(idx, idx)] = v
         sweeps[i] = max(sweeps[i], took)

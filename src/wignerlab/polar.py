@@ -68,8 +68,7 @@ def _svd_all(mats: list[np.ndarray]) -> list[SVDResult]:
     # solved blocks go with the loop, before the factors are read
     blocks = [mats[i][:, idx[0]:idx[-1] + 1] if idx[-1] - idx[0] < len(idx)
               else mats[i][:, idx] for i, idx in groups]
-    for (i, idx), (av, v, _) in zip(groups,
-                                    _solve_blocks(blocks, hermitian=False)):
+    for (i, idx), (av, v, _) in zip(groups, _solve_blocks(blocks)):
         avs[i][:, idx] = av
         vs[i][np.ix_(idx, idx)] = v
     out = []

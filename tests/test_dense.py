@@ -462,8 +462,8 @@ def test_eigensolver_on_rotated_degenerate_spectra(lam, seed):
     a = (q * lam) @ q.conj().T
     res = hermitian_eigensolve(a)
     v = res.eigenvectors
-    # a block stops at an off-diagonal norm of 1e-13 |A|, which the rebuild
-    # carries, so both bounds scale with |A|
+    # a block stops at an off-diagonal norm relative to the trace of its
+    # form, which the rebuild carries, so both bounds scale with |A|
     tol = 1e-12 * max(1.0, np.linalg.norm(a))
     assert np.max(np.abs(res.eigenvalues - np.sort(lam))) < tol
     assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-12
@@ -540,8 +540,11 @@ def test_convergence_error_names_block_size_misses_and_worst_norm(monkeypatch):
     # a stack of three 2x2 blocks, one already below its target
     m = block_diag([[0.0, 1.0], [1.0, 0.0]], [[1.0, 1e-20], [1e-20, 2.0]],
                    [[0.0, 3.0], [3.0, 0.0]])
+    # the worst block is H + |H|_F I for H = [[0, 3], [3, 0]]: its form B^2
+    # has off-diagonal norm 36 and trace |B|_F^2 = 54, its target 2e-15 of that
     with pytest.raises(ConvergenceError,
-                       match=r"2 of 3 blocks of size 2 .* norm 4\.243e\+00"):
+                       match=r"2 of 3 blocks of size 2 .* norm 3\.600e\+01 "
+                             r"against a target of 1\.080e-13$"):
         hermitian_eigensolve(m)
 
 
@@ -575,10 +578,13 @@ def test_eigensolver_every_size_vs_lapack(n):
 def _jacobi(stack):
     """Eigenvalues ``Re <v_p, A v_p>`` in diagonal order, eigenvector
     columns and sweeps of each block of a stack of Hermitian blocks, solved
-    together by ``dense._solve_blocks`` on their Hermitian parts."""
-    solved = dense._solve_blocks([0.5 * (a + a.conj().T) for a in stack],
-                                 hermitian=True)
-    return (np.stack([np.vecdot(v, av, axis=0).real for av, v, _ in solved]),
+    together by ``dense._solve_blocks`` as the eigensolve does: on
+    ``H + |H|_F I`` for each Hermitian part ``H``."""
+    herm = [0.5 * (a + a.conj().T) for a in stack]
+    solved = dense._solve_blocks([h + np.linalg.norm(h) * np.eye(len(h))
+                                  for h in herm])
+    return (np.stack([np.vecdot(v, a @ v, axis=0).real
+                      for a, (_, v, _) in zip(stack, solved)]),
             np.stack([v for _, v, _ in solved]),
             np.array([took for _, _, took in solved]))
 
@@ -646,18 +652,15 @@ def test_rotated_h_full_is_one_stack(monkeypatch):
 
 def _record_jacobi(monkeypatch):
     """Patch the kernel to record each eigensolve stack it solves: the
-    blocks ``A`` of its rows ``[A e_p | e_p]``, and the eigenvalues
-    ``Re <v_p, A v_p>`` in diagonal order, eigenvector columns and sweeps
-    it leaves."""
+    blocks ``B`` of its rows ``[B e_p | e_p]``, and the eigenvector columns
+    and sweeps it leaves."""
     calls = []
     kernel = dense._one_sided_jacobi
 
-    def record(stack, rows, bra):
+    def record(stack, rows):
         blocks = stack[:, :, :rows].transpose(0, 2, 1).copy()
-        took = kernel(stack, rows, bra)
-        x, v = stack[:, :, :rows], stack[:, :, rows:]
-        calls.append((blocks, (np.vecdot(v, x).real, v.transpose(0, 2, 1),
-                               took)))
+        took = kernel(stack, rows)
+        calls.append((blocks, (stack[:, :, rows:].transpose(0, 2, 1), took)))
         return took
     monkeypatch.setattr(dense, "_one_sided_jacobi", record)
     return calls
@@ -669,11 +672,12 @@ def test_padded_class_matches_each_block_alone(monkeypatch):
     alone = [hermitian_eigensolve(a) for a in ops]
     calls = _record_jacobi(monkeypatch)
     batch = hermitian_eigensolve_all(ops)
-    (stack, (_, vecs, _)), = calls
+    (stack, (vecs, _)), = calls
     assert stack.shape == (3, 16, 16)
     for a, got, want, block, vec in zip(ops, batch, alone, stack, vecs):
         n = len(a)
-        assert np.array_equal(block[:n, :n], a)
+        # each block is solved as the SVD of the PSD A + |A|_F I
+        assert np.array_equal(block[:n, :n], a + np.linalg.norm(a) * np.eye(n))
         assert not block[n:].any() and not block[:, n:].any()
         assert not vec[n:, :n].any()  # the pad entries are exactly 0
         assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) < 1e-12
@@ -695,12 +699,12 @@ def test_size_class_solves_each_block_as_alone(monkeypatch, hermitian):
         blocks = [0.5 * (a + a.conj().T) for a in blocks]
     blocks[1] = 1e-3 * blocks[1]
     padded = [np.pad(a, (0, 16 - len(a))) for a in blocks]
-    alone = [dense._solve_blocks([a], hermitian)[0] for a in padded]
+    alone = [dense._solve_blocks([a])[0] for a in padded]
     stacks = []
     kernel = dense._one_sided_jacobi
     monkeypatch.setattr(dense, "_one_sided_jacobi", lambda stack, *rest:
                         stacks.append(stack) or kernel(stack, *rest))
-    solved = dense._solve_blocks(blocks, hermitian)
+    solved = dense._solve_blocks(blocks)
     stack, = stacks
     assert stack.shape == (3, 16, 32)
     for a, (av, v, took), (av1, v1, took1), block in zip(blocks, solved,
@@ -763,6 +767,25 @@ def test_eigensolve_never_stacks_a_lone_block(monkeypatch):
     assert res.block_sizes == (1, 1, 1, 64)
 
 
+def test_eigensolve_hands_the_kernel_psd_blocks(monkeypatch):
+    # every block is solved as the SVD of a positive semi-definite one, whose
+    # right singular vectors are the eigenvectors; the inputs are indefinite
+    rng = np.random.default_rng(59)
+    ops = [_random_hermitian(rng, n) for n in (2, 7, 16)]
+    ops.append(block_diag(_random_hermitian(rng, 5), np.diag([-3.0, 2.0])))
+    ops += [materialize(eigensolve_hamiltonian(ModelSpec(family, 3)))
+            for family in Family]
+    seen = []
+    solve = dense._solve_blocks
+    monkeypatch.setattr(dense, "_solve_blocks", lambda blocks:
+                        seen.extend(blocks) or solve(blocks))
+    results = hermitian_eigensolve_all(ops)
+    assert len(seen) == sum(len(res.block_sizes) for res in results)
+    for block in seen:
+        assert np.array_equal(block, block.conj().T)
+        assert np.linalg.eigvalsh(block).min() >= -1e-12 * np.linalg.norm(block)
+
+
 def test_sweeps_count_only_the_operators_own_blocks(monkeypatch):
     rng = np.random.default_rng(43)
     # one block of 12, joined by couplings far below its target
@@ -773,7 +796,7 @@ def test_sweeps_count_only_the_operators_own_blocks(monkeypatch):
     diag, near, full = hermitian_eigensolve_all(
         [np.diag([2.0, 1.0, 5.0]), near_diag, dense_op])
     assert [stack.shape for stack, _ in calls] == [(2, 12, 12)]
-    took = calls[0][1][2]
+    took = calls[0][1][1]
     assert took.tolist() == [0, took.max()] and took.max() > 2
     assert diag.sweeps == 0 and near.sweeps == 0
     assert full.sweeps == took.max() == hermitian_eigensolve(dense_op).sweeps

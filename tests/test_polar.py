@@ -127,7 +127,8 @@ def test_svd_raises_past_the_sweep_cap(monkeypatch):
     monkeypatch.setattr(dense, "JACOBI_SWEEP_CAP", 0)
     with pytest.raises(ConvergenceError, match=r"^no convergence after 0 sweeps: "
                        r"1 of 1 blocks of size 5 missed the target; worst "
-                       r"off-diagonal norm \d\.\d{3}e[+-]\d+$"):
+                       r"off-diagonal norm \d\.\d{3}e[+-]\d+ against a target "
+                       r"of \d\.\d{3}e[+-]\d+$"):
         _svd_all([m])
     monkeypatch.undo()
     assert _svd_all([m])[0].rank == 5
